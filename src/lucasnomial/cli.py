@@ -10,14 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .coefficients import table, via_quotient, via_recursion_fib, via_recursion_luc
 from .errors import DomainError, ResourceError
 from .interpretations import PAIR_BUDGET, recursion_task_cases, theorem_cases
 from .lucas import check_lemma1, lucas_F, lucas_L, lucas_factorial
 from .partitions import enumerate_in_rect
-from .poly import BivariatePolynomial, UnivariatePolynomial
 from .reports import IdentityReport
 from .specializations import FIBONOMIAL, QBINOMIAL, lnomial, specialize
 from .tilings import CIRCULAR, LINEAR, LINEAR_NOLEAD, enumerate_tilings
@@ -40,70 +38,13 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _latex_bivar(p: BivariatePolynomial) -> str:
-    if p.is_zero():
-        return "0"
-    rendered = []
-    for a, b, c in p.terms():
-        mag = abs(c)
-        factors = []
-        if a:
-            factors.append("s" if a == 1 else f"s^{{{a}}}")
-        if b:
-            factors.append("t" if b == 1 else f"t^{{{b}}}")
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = " ".join(factors)
-        else:
-            body = " ".join([str(mag)] + factors)
-        rendered.append(("-" if c < 0 else "+", body))
-    sign, body = rendered[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in rendered[1:]:
-        out += f" {sign} {body}"
-    return out
-
-
-def _latex_univar(u: UnivariatePolynomial) -> str:
-    if u.is_zero():
-        return "0"
-    rendered = []
-    for power in range(u.degree, -1, -1):
-        c = u.coeff_at(power)
-        if not c:
-            continue
-        mag = abs(c)
-        if power == 0:
-            body = str(mag)
-        else:
-            var = "q" if power == 1 else f"q^{{{power}}}"
-            body = var if mag == 1 else f"{mag} {var}"
-        rendered.append(("-" if c < 0 else "+", body))
-    sign, body = rendered[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in rendered[1:]:
-        out += f" {sign} {body}"
-    return out
-
-
-def _render_bivar(p: BivariatePolynomial, fmt: str) -> str:
-    if fmt == "text":
-        return p.canonical_text()
+def _render(value, fmt: str) -> str:
+    """A polynomial of either class, or an integer, in one output format."""
     if fmt == "json":
-        return json.dumps(p.to_json_dict())
-    return _latex_bivar(p)
-
-
-def _render_value(value, fmt: str) -> str:
-    if isinstance(value, UnivariatePolynomial):
-        if fmt == "text":
-            return value.canonical_text()
-        if fmt == "json":
-            return json.dumps(value.to_json_dict())
-        return _latex_univar(value)
-    if fmt == "json":
-        return json.dumps({"value": str(value)})
+        doc = {"value": str(value)} if isinstance(value, int) else value.to_json_dict()
+        return json.dumps(doc)
+    if fmt == "latex" and not isinstance(value, int):
+        return value.latex()
     return str(value)
 
 
@@ -157,6 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_nonneg, default=None)
     p.add_argument("--mode", choices=("enumerate", "gf"), default="gf")
     p.add_argument("--flavor", choices=("linear", "circular", "both"), default="both")
+    # kept so existing scripts still parse; cases always run serially, since
+    # threads cannot overlap this pure-Python work
     p.add_argument("--parallel", action="store_true")
     p.add_argument("--budget", type=_nonneg, default=PAIR_BUDGET)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -177,13 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_lucas(args) -> int:
     seq = {"F": lucas_F, "L": lucas_L, "factorial": lucas_factorial}[args.kind]
-    print(_render_bivar(seq(args.n), args.format))
+    print(_render(seq(args.n), args.format))
     return 0
 
 
 def _cmd_lucasnomial(args) -> int:
     poly = _METHODS[args.method](args.n, args.k)
-    print(_render_bivar(poly, args.format))
+    print(_render(poly, args.format))
     return 0
 
 
@@ -194,11 +137,8 @@ def _cmd_table(args) -> int:
         print(json.dumps(doc))
         return 0
     joiner = " & " if args.format == "latex" else " | "
-    render = _latex_bivar if args.format == "latex" else (
-        lambda p: p.canonical_text()
-    )
     for row in triangle.rows:
-        print(joiner.join(render(p) for p in row))
+        print(joiner.join(_render(p, args.format) for p in row))
     return 0
 
 
@@ -228,9 +168,9 @@ def _cmd_verify(args) -> int:
         runner = lambda mn: check_lemma1(*mn).cases
         rng = f"1<=m<={m_max}, 0<=n<={n_max}"
     elif args.kind == "recursions":
-        # single triangle bound m+n <= N, taken from whichever flag is given
-        bound = max(12 if args.m_max is None else args.m_max,
-                    12 if args.n_max is None else args.n_max)
+        # single triangle bound m+n <= N: the larger of the flags given, else 12
+        given = [b for b in (args.m_max, args.n_max) if b is not None]
+        bound = max(given, default=12)
         tasks = [
             (m, n) for m in range(1, bound + 1) for n in range(bound - m + 1)
         ]
@@ -245,12 +185,12 @@ def _cmd_verify(args) -> int:
         )
         rng = f"0<=m<={m_max}, 0<=n<={n_max}, flavor={args.flavor}, mode={args.mode}"
 
-    if args.parallel:
-        with ThreadPoolExecutor() as pool:
-            results = pool.map(runner, tasks)
-            collected = _collect(results, stream=args.format == "text")
-    else:
-        collected = _collect(map(runner, tasks), stream=args.format == "text")
+    collected = []
+    for cases in map(runner, tasks):
+        for case in cases:
+            if args.format == "text":
+                print(case.line())
+            collected.append(case)
 
     report = IdentityReport(args.kind, rng, tuple(collected))
     if args.format == "json":
@@ -258,16 +198,6 @@ def _cmd_verify(args) -> int:
     else:
         print(report.summary())
     return 0 if report.passed else 1
-
-
-def _collect(results, stream: bool):
-    collected = []
-    for cases in results:
-        for case in cases:
-            if stream:
-                print(case.line())
-            collected.append(case)
-    return collected
 
 
 def _cmd_specialize(args) -> int:
@@ -281,7 +211,7 @@ def _cmd_specialize(args) -> int:
             return 2
         preset = lnomial(args.ell)
     value = specialize(args.n, args.k, preset)
-    print(_render_value(value, args.format))
+    print(_render(value, args.format))
     return 0
 
 

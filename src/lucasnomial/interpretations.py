@@ -15,8 +15,8 @@ configurable predicted-pair budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
+from math import prod
 
 from .coefficients import via_quotient
 from .errors import DomainError, ResourceError
@@ -30,6 +30,7 @@ from .tilings import (
     LINEAR_NOLEAD,
     MONO,
     Tiling,
+    _count,
     _tiling_pool,
     gf,
 )
@@ -76,18 +77,6 @@ class TilingPair:
         return a, b, c
 
 
-@cache
-def _count(kind: str, n: int) -> int:
-    """Tiling count without materializing; matches enumerate_tilings."""
-    if kind == LINEAR:
-        return 1 if n <= 1 else _count(LINEAR, n - 1) + _count(LINEAR, n - 2)
-    if kind == LINEAR_NOLEAD:
-        return 1 if n == 0 else 0 if n == 1 else _count(LINEAR, n - 2)
-    if kind == CIRCULAR:
-        return 1 if n <= 1 else _count(LINEAR, n) + _count(LINEAR, n - 2)
-    raise DomainError(f"unknown tiling kind {kind!r}")
-
-
 def _pair_kinds(flavor: str) -> tuple[str, str]:
     if flavor == LINEAR_PAIR:
         return LINEAR, LINEAR_NOLEAD
@@ -96,47 +85,40 @@ def _pair_kinds(flavor: str) -> tuple[str, str]:
     raise DomainError(f"unknown flavor {flavor!r}")
 
 
+def _walk(m: int, n: int, flavor: str, per_part):
+    """Yield (partition, factors) for every partition in the m x n rectangle,
+    where factors holds per_part(kind, length) for each row of the partition
+    and then for each column of its complement."""
+    row_kind, col_kind = _pair_kinds(flavor)
+    for part in enumerate_in_rect(m, n):
+        factors = [per_part(row_kind, p) for p in part.parts]
+        factors += [per_part(col_kind, p) for p in part.complement().parts]
+        yield part, factors
+
+
 def predicted_pair_count(m: int, n: int, flavor: str) -> int:
     """Number of (partition, pair) objects enumeration would produce."""
-    row_kind, col_kind = _pair_kinds(flavor)
     total = 0
-    for part in enumerate_in_rect(m, n):
-        comp = part.complement()
-        count = 1
-        for p in part.parts:
-            count *= _count(row_kind, p)
-        for p in comp.parts:
-            count *= _count(col_kind, p)
-        total += count
+    for _, counts in _walk(m, n, flavor, _count):
+        total += prod(counts)
     return total
 
 
 def iter_pairs(m: int, n: int, flavor: str):
     """Yield every (partition, TilingPair) object, deterministically ordered."""
-    row_kind, col_kind = _pair_kinds(flavor)
-    for part in enumerate_in_rect(m, n):
-        comp = part.complement()
-        factor_lists = [_tiling_pool(row_kind, p) for p in part.parts]
-        factor_lists += [_tiling_pool(col_kind, p) for p in comp.parts]
+    for part, pools in _walk(m, n, flavor, _tiling_pool):
         rows = part.rows
-        for combo in product(*factor_lists):
+        for combo in product(*pools):
             yield part, TilingPair(combo[:rows], combo[rows:], flavor)
 
 
 def _rhs(m: int, n: int, flavor: str, mode: str, budget: int) -> BivariatePolynomial:
     if m < 0 or n < 0:
         raise DomainError("rectangle dimensions must be nonnegative")
-    row_kind, col_kind = _pair_kinds(flavor)
     if mode == "gf":
         total = BivariatePolynomial.zero()
-        for part in enumerate_in_rect(m, n):
-            comp = part.complement()
-            factor = ONE
-            for p in part.parts:
-                factor = factor * gf(row_kind, p)
-            for p in comp.parts:
-                factor = factor * gf(col_kind, p)
-            total = total + factor
+        for _, gfs in _walk(m, n, flavor, gf):
+            total = total + prod(gfs, start=ONE)
         return total
     if mode == "enumerate":
         predicted = predicted_pair_count(m, n, flavor)

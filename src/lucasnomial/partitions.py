@@ -53,13 +53,19 @@ class Partition:
 
 
 def _part_tuples(length: int, bound: int):
-    # ascending lexicographic: all-zeros first, full row of `bound` last
-    if length == 0:
-        yield ()
-        return
-    for first in range(bound + 1):
-        for rest in _part_tuples(length - 1, first):
-            yield (first,) + rest
+    # ascending lexicographic: all-zeros first, full row of `bound` last.  The
+    # successor raises the rightmost part still below its left neighbour (or
+    # below `bound` for the first part) and zeroes every part after it.
+    parts = [0] * length
+    while True:
+        yield tuple(parts)
+        i = length - 1
+        while i >= 0 and parts[i] == (parts[i - 1] if i else bound):
+            i -= 1
+        if i < 0:
+            return
+        parts[i] += 1
+        parts[i + 1:] = [0] * (length - 1 - i)
 
 
 def enumerate_in_rect(m: int, n: int) -> list[Partition]:

@@ -226,28 +226,14 @@ class BivariatePolynomial:
 
     def canonical_text(self) -> str:
         """Deterministic rendering, e.g. "s^3 + 2*s*t"; zero renders as "0"."""
-        if not self._terms:
-            return "0"
-        rendered = []
-        for a, b, c in self.terms():
-            mag = abs(c)
-            factors = []
-            if a:
-                factors.append("s" if a == 1 else f"s^{a}")
-            if b:
-                factors.append("t" if b == 1 else f"t^{b}")
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            rendered.append(("-" if c < 0 else "+", body))
-        sign, body = rendered[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in rendered[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _render_terms(self._factored_terms(), latex=False)
+
+    def latex(self) -> str:
+        """LaTeX rendering in canonical order, e.g. "s^{3} + 2 s t"."""
+        return _render_terms(self._factored_terms(), latex=True)
+
+    def _factored_terms(self):
+        return ((c, (("s", a), ("t", b))) for a, b, c in self.terms())
 
     def __str__(self) -> str:
         return self.canonical_text()
@@ -281,6 +267,30 @@ class BivariatePolynomial:
     @classmethod
     def from_json_dict(cls, doc: dict) -> BivariatePolynomial:
         return cls({(int(a), int(b)): int(c) for a, b, c in doc["terms"]})
+
+
+def _render_terms(terms, latex: bool) -> str:
+    """Join (coefficient, ((var, power), ...)) terms in the given order.
+
+    Zero powers are dropped, a power of 1 is written bare, and a coefficient
+    of magnitude 1 is left out unless the term is a constant.  Text style
+    writes "3*s^2*t", LaTeX style "3 s^{2} t"; no terms renders as "0".
+    """
+    times = " " if latex else "*"
+    out = ""
+    for c, factors in terms:
+        names = [] if c in (1, -1) else [str(abs(c))]
+        for var, power in factors:
+            if power == 1:
+                names.append(var)
+            elif power:
+                names.append(f"{var}^{{{power}}}" if latex else f"{var}^{power}")
+        body = times.join(names) or "1"
+        if out:
+            out += (" - " if c < 0 else " + ") + body
+        else:
+            out = ("-" if c < 0 else "") + body
+    return out or "0"
 
 
 _TERM_FACTOR = re.compile(r"^(\d+|s(\^\d+)?|t(\^\d+)?)$")
@@ -476,25 +486,15 @@ class UnivariatePolynomial:
 
     def canonical_text(self, var: str = "q") -> str:
         """Deterministic rendering, highest power first, e.g. "q^2 + q + 1"."""
-        if not self._coeffs:
-            return "0"
-        rendered = []
-        for power in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[power]
-            if not c:
-                continue
-            mag = abs(c)
-            if power == 0:
-                body = str(mag)
-            else:
-                vartxt = var if power == 1 else f"{var}^{power}"
-                body = vartxt if mag == 1 else f"{mag}*{vartxt}"
-            rendered.append(("-" if c < 0 else "+", body))
-        sign, body = rendered[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in rendered[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _render_terms(self._factored_terms(var), latex=False)
+
+    def latex(self) -> str:
+        """LaTeX rendering, highest power first, e.g. "q^{2} + q + 1"."""
+        return _render_terms(self._factored_terms("q"), latex=True)
+
+    def _factored_terms(self, var: str):
+        powers = range(len(self._coeffs) - 1, -1, -1)
+        return ((self._coeffs[p], ((var, p),)) for p in powers if self._coeffs[p])
 
     def __str__(self) -> str:
         return self.canonical_text()

@@ -96,6 +96,18 @@ def _tiling_pool(kind: str, n: int) -> tuple[Tiling, ...]:
     raise DomainError(f"unknown tiling kind {kind!r}")
 
 
+@cache
+def _count(kind: str, n: int) -> int:
+    """Tiling count without materializing; matches enumerate_tilings."""
+    if kind == LINEAR:
+        return 1 if n <= 1 else _count(LINEAR, n - 1) + _count(LINEAR, n - 2)
+    if kind == LINEAR_NOLEAD:
+        return 1 if n == 0 else 0 if n == 1 else _count(LINEAR, n - 2)
+    if kind == CIRCULAR:
+        return 1 if n <= 1 else _count(LINEAR, n) + _count(LINEAR, n - 2)
+    raise DomainError(f"unknown tiling kind {kind!r}")
+
+
 def enumerate_tilings(kind: str, n: int) -> list[Tiling]:
     """Every tiling of a 1 x n strip, deterministically ordered.
 

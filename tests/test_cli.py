@@ -34,6 +34,7 @@ def test_lucas_latex():
     code, out, _ = run("lucas", "F", "4", "--format", "latex")
     assert code == 0
     assert out == "s^{3} + 2 s t\n"
+    assert run("lucas", "F", "0", "--format", "latex") == (0, "0\n", "")
 
 
 def test_lucasnomial_methods_agree():
@@ -55,6 +56,15 @@ def test_table_text():
     code, out, _ = run("table", "2")
     assert code == 0
     assert out == "1\n1 | 1\n1 | s | 1\n"
+
+
+def test_table_latex():
+    code, out, _ = run("table", "5", "--format", "latex")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "1 & s^{4} + 3 s^{2} t + t^{2} & s^{6} + 5 s^{4} t + 7 s^{2} t^{2} + 2 t^{3}"
+        " & s^{6} + 5 s^{4} t + 7 s^{2} t^{2} + 2 t^{3} & s^{4} + 3 s^{2} t + t^{2} & 1"
+    )
 
 
 def test_table_json():
@@ -114,6 +124,11 @@ def test_verify_recursions_passes():
     code, out, _ = run("verify", "recursions", "--m-max", "6", "--n-max", "6")
     assert code == 0
     assert out.splitlines()[-1].startswith("recursions:")
+    code, out, _ = run("verify", "recursions", "--m-max", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "recursions: 18 cases over m>=1, n>=0, m+n<=3, 0 failed"
+    )
 
 
 def test_verify_json_round_trips():
@@ -168,12 +183,20 @@ def test_specialize_fibonomial():
     code, out, _ = run("specialize", "5", "2", "--preset", "fibonomial")
     assert code == 0
     assert out == "15\n"
+    code, out, _ = run("specialize", "6", "3", "--preset", "fibonomial", "--format", "json")
+    assert code == 0
+    assert out == '{"value": "60"}\n'
 
 
 def test_specialize_qbinomial():
     code, out, _ = run("specialize", "3", "1", "--preset", "qbinomial")
     assert code == 0
     assert out == "q^2 + q + 1\n"
+    code, out, _ = run("specialize", "6", "3", "--preset", "qbinomial", "--format", "latex")
+    assert code == 0
+    assert out == (
+        "q^{9} + q^{8} + 2 q^{7} + 3 q^{6} + 3 q^{5} + 3 q^{4} + 3 q^{3} + 2 q^{2} + q + 1\n"
+    )
 
 
 def test_specialize_qbinomial_json():
@@ -188,6 +211,11 @@ def test_specialize_lnomial():
     code, out, _ = run("specialize", "2", "1", "--preset", "lnomial", "--ell", "2")
     assert code == 0
     assert out == "2\n"
+    code, out, _ = run(
+        "specialize", "6", "3", "--preset", "lnomial", "--ell", "-3", "--format", "latex"
+    )
+    assert code == 0
+    assert out == "-6930\n"
 
 
 def test_specialize_lnomial_requires_ell():

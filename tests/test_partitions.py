@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -25,6 +26,23 @@ def test_empty_rectangles():
 @pytest.mark.parametrize("n", range(9))
 def test_counts_match_binomial(m, n):
     assert len(enumerate_in_rect(m, n)) == comb(m + n, m)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(7) for n in range(7)])
+def test_order_is_ascending_lexicographic(m, n):
+    brute = sorted(
+        parts
+        for parts in product(range(n + 1), repeat=m)
+        if list(parts) == sorted(parts, reverse=True)
+    )
+    assert [p.parts for p in enumerate_in_rect(m, n)] == brute
+
+
+def test_tall_rectangle_needs_no_deep_recursion():
+    parts = enumerate_in_rect(1500, 1)
+    assert len(parts) == 1501
+    assert parts[0].parts == (0,) * 1500
+    assert parts[-1].parts == (1,) * 1500
 
 
 def test_complement_of_worked_example():

@@ -85,6 +85,9 @@ def test_canonical_text():
     assert (-(T * T)).canonical_text() == "-t^2"
     assert (S - T).canonical_text() == "s - t"
     assert BivariatePolynomial.const(-1).canonical_text() == "-1"
+    assert P("-3*s^2*t + s - 1").canonical_text() == "-3*s^2*t + s - 1"
+    assert P("-3*s^2*t + s - 1").latex() == "-3 s^{2} t + s - 1"
+    assert ZERO.latex() == "0"
 
 
 def test_terms_canonical_order():
@@ -167,6 +170,10 @@ def test_univariate_basics():
     assert (q ** 3).eval_at(2) == 8
     assert (-q).canonical_text() == "-q"
     assert (2 * q * q + q + 1).canonical_text() == "2*q^2 + q + 1"
+    negative = UnivariatePolynomial((-1, 0, -2, 1))
+    assert negative.canonical_text() == "q^3 - 2*q^2 - 1"
+    assert negative.canonical_text(var="x") == "x^3 - 2*x^2 - 1"
+    assert negative.latex() == "q^{3} - 2 q^{2} - 1"
 
 
 def test_univariate_exact_div():
