@@ -10,6 +10,7 @@ so cross-route agreement is a genuine check rather than a tautology.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -26,6 +27,15 @@ def via_quotient(n: int, k: int) -> BivariatePolynomial:
     return lucas_factorial(n).exact_div(lucas_factorial(k) * lucas_factorial(n - k))
 
 
+# Rows a recursive descent may span.  Past it, each route first fills its memo
+# from the lowest row up, so every call finds its children cached and the
+# recursion depth no longer grows with n.
+_DESCENT = 128
+# Set while a thread fills the fib memo, so the calls of that fill do not
+# start fills of their own; per thread, so other callers still fill theirs.
+_filling = threading.local()
+
+
 @cache
 def via_recursion_fib(n: int, k: int) -> BivariatePolynomial:
     """Pascal-style recursion seeded by the plain index-addition split."""
@@ -33,10 +43,28 @@ def via_recursion_fib(n: int, k: int) -> BivariatePolynomial:
         return ZERO
     if k == 0 or k == n:
         return ONE
+    if n > _DESCENT and not getattr(_filling, "active", False):
+        _filling.active = True
+        try:
+            for key in _fib_keys_upward(n, k):
+                via_recursion_fib(*key)
+        finally:
+            _filling.active = False
     m, rest = k, n - k
     return lucas_F(rest + 1) * via_recursion_fib(n - 1, k - 1) + T * lucas_F(
         m - 1
     ) * via_recursion_fib(n - 1, rest - 1)
+
+
+def _fib_keys_upward(n: int, k: int) -> list[tuple[int, int]]:
+    # the keys via_recursion_fib(n, k) reaches below row n, lowest row first
+    keys: list[tuple[int, int]] = []
+    row = {k}
+    for r in range(n, 1, -1):
+        row = {j for i in row if 0 < i < r for j in (i - 1, r - i - 1)}
+        keys.extend((r - 1, j) for j in sorted(row))
+    keys.reverse()
+    return keys
 
 
 @cache
@@ -51,6 +79,10 @@ def via_recursion_luc(n: int, k: int) -> BivariatePolynomial:
     """Companion-seeded recursion, rescaled back down from 2^n times."""
     if k < 0 or k > n:
         return ZERO
+    if n > _DESCENT:
+        for m in range(k + 1):
+            for rest in range(n - k + 1):
+                _doubled(m, rest)
     scaled = _doubled(k, n - k)
     scale = 1 << n
     terms = {}

@@ -18,8 +18,10 @@ from .reports import CaseResult, IdentityReport
 class LucasCache:
     """Grow-only memo of the three sequences; extension is lock-serialized.
 
-    Cached entries are immutable polynomials, so concurrent reads are safe;
-    the lock only serializes appends.
+    The two Lucas sequences grow together; factorials grow separately, only
+    as far as factorial() is asked for.  Cached entries are immutable
+    polynomials, so concurrent reads are safe; the lock only serializes
+    appends.
     """
 
     def __init__(self) -> None:
@@ -34,7 +36,6 @@ class LucasCache:
                 k = len(self._fib)
                 self._fib.append(S * self._fib[k - 1] + T * self._fib[k - 2])
                 self._luc.append(S * self._luc[k - 1] + T * self._luc[k - 2])
-                self._fact.append(self._fact[k - 1] * self._fib[k])
 
     def fib(self, n: int) -> BivariatePolynomial:
         if n < 0:
@@ -54,7 +55,13 @@ class LucasCache:
         if n < 0:
             raise DomainError("sequence index must be nonnegative")
         if n >= len(self._fact):
-            self._extend(n)
+            # factorials grow only on demand: the big products are paid for
+            # by callers that need them, not by every sequence lookup
+            self.fib(n)
+            with self._lock:
+                while len(self._fact) <= n:
+                    k = len(self._fact)
+                    self._fact.append(self._fact[k - 1] * self._fib[k])
         return self._fact[n]
 
 

@@ -7,9 +7,8 @@ lexicographic order with s > t under which exact division cancels leading
 terms; all divisors produced by factorial quotients are monic in that order,
 so division never leaves the integers.
 
-UnivariatePolynomial is the much smaller dense companion type used as the
-target of substitutions such as s -> q + 1, t -> -q; coefficients are
-indexed by the power of q.
+UnivariatePolynomial, the target of substitutions such as s -> q + 1,
+t -> -q, is the same sparse polynomial in s alone, rendered in q.
 """
 
 from __future__ import annotations
@@ -43,19 +42,26 @@ class BivariatePolynomial:
                 del data[(a, b)]
         self._terms = data
 
+    @classmethod
+    def _from_terms(cls, terms: dict[tuple[int, int], int]):
+        # an already-reduced term map becomes the polynomial, unchecked
+        result = object.__new__(cls)
+        result._terms = terms
+        return result
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> BivariatePolynomial:
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> BivariatePolynomial:
-        return cls({(0, 0): 1})
+    def one(cls):
+        return cls.const(1)
 
     @classmethod
-    def const(cls, c: int) -> BivariatePolynomial:
-        return cls({(0, 0): c})
+    def const(cls, c: int):
+        return cls._from_terms({(0, 0): c} if c else {})
 
     @classmethod
     def monomial(cls, a: int, b: int, c: int = 1) -> BivariatePolynomial:
@@ -84,19 +90,23 @@ class BivariatePolynomial:
         return a, b, self._terms[(a, b)]
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, BivariatePolynomial):
-            return self._terms == other._terms
-        if isinstance(other, int):
-            return self._terms == BivariatePolynomial.const(other)._terms
-        return NotImplemented
+        other = _as_poly(self, other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant hashes as its integer, which it also equals
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     # -- ring operations ---------------------------------------------------
+    # Results keep the class of self; the other operand must share it or be
+    # an int, so the two polynomial classes never mix.
 
-    def __add__(self, other: BivariatePolynomial | int) -> BivariatePolynomial:
-        other = _as_poly(other)
+    def __add__(self, other):
+        other = _as_poly(self, other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._terms)
@@ -106,37 +116,31 @@ class BivariatePolynomial:
                 out[key] = total
             else:
                 del out[key]
-        result = BivariatePolynomial.__new__(BivariatePolynomial)
-        result._terms = out
-        return result
+        return self._from_terms(out)
 
     __radd__ = __add__
 
-    def __neg__(self) -> BivariatePolynomial:
-        result = BivariatePolynomial.__new__(BivariatePolynomial)
-        result._terms = {key: -c for key, c in self._terms.items()}
-        return result
+    def __neg__(self):
+        return self._from_terms({key: -c for key, c in self._terms.items()})
 
-    def __sub__(self, other: BivariatePolynomial | int) -> BivariatePolynomial:
-        other = _as_poly(other)
+    def __sub__(self, other):
+        other = _as_poly(self, other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: BivariatePolynomial | int) -> BivariatePolynomial:
-        other = _as_poly(other)
+    def __rsub__(self, other):
+        other = _as_poly(self, other)
         if other is NotImplemented:
             return NotImplemented
         return other + (-self)
 
-    def __mul__(self, other: BivariatePolynomial | int) -> BivariatePolynomial:
+    def __mul__(self, other):
         if isinstance(other, int):
             if not other:
-                return BivariatePolynomial.zero()
-            result = BivariatePolynomial.__new__(BivariatePolynomial)
-            result._terms = {key: c * other for key, c in self._terms.items()}
-            return result
-        if not isinstance(other, BivariatePolynomial):
+                return self._from_terms({})
+            return self._from_terms({key: c * other for key, c in self._terms.items()})
+        if type(other) is not type(self):
             return NotImplemented
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self._terms.items():
@@ -147,17 +151,15 @@ class BivariatePolynomial:
                     out[key] = total
                 else:
                     del out[key]
-        result = BivariatePolynomial.__new__(BivariatePolynomial)
-        result._terms = out
-        return result
+        return self._from_terms(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> BivariatePolynomial:
+    def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         base = self
-        acc = BivariatePolynomial.one()
+        acc = self.one()
         while exponent:
             if exponent & 1:
                 acc = acc * base
@@ -165,12 +167,14 @@ class BivariatePolynomial:
             exponent >>= 1
         return acc
 
-    def exact_div(self, divisor: BivariatePolynomial) -> BivariatePolynomial:
+    def exact_div(self, divisor):
         """Exact quotient self / divisor; raises IndivisibleError if inexact.
 
         Repeatedly cancels the leading term of the running remainder against
         the leading term of the divisor (lexicographic order, s > t).
         """
+        if type(divisor) is not type(self):
+            raise TypeError("exact_div needs a divisor of the same class")
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         da, db, dc = divisor.leading()
@@ -195,19 +199,16 @@ class BivariatePolynomial:
                     rem[key] = total
                 else:
                     rem.pop(key, None)
-        result = BivariatePolynomial.__new__(BivariatePolynomial)
-        result._terms = quot
-        return result
+        return self._from_terms(quot)
 
     # -- evaluation and substitution ----------------------------------------
 
     def eval_int(self, s0: int, t0: int) -> int:
         """Exact integer value at s = s0, t = t0."""
         total = 0
-        spow: dict[int, int] = {0: 1}
-        tpow: dict[int, int] = {0: 1}
+        spow, tpow = [1], [1]
         for (a, b), c in self._terms.items():
-            total += c * _int_power(s0, a, spow) * _int_power(t0, b, tpow)
+            total += c * _power(s0, a, spow) * _power(t0, b, tpow)
         return total
 
     def subst_univar(
@@ -215,10 +216,10 @@ class BivariatePolynomial:
     ) -> UnivariatePolynomial:
         """Expand self(s_sub(q), t_sub(q)) exactly."""
         total = UnivariatePolynomial.zero()
-        spow = {0: UnivariatePolynomial.one()}
-        tpow = {0: UnivariatePolynomial.one()}
+        spow = [UnivariatePolynomial.one()]
+        tpow = [UnivariatePolynomial.one()]
         for a, b, c in self.terms():
-            term = _univar_power(s_sub, a, spow) * _univar_power(t_sub, b, tpow)
+            term = _power(s_sub, a, spow) * _power(t_sub, b, tpow)
             total = total + term * c
         return total
 
@@ -258,7 +259,7 @@ class BivariatePolynomial:
             terms.append(((a, b), sign * c))
             if i + 1 < len(chunks):
                 sign = -1 if chunks[i + 1] == "-" else 1
-        return cls(terms)
+        return BivariatePolynomial(terms)
 
     def to_json_dict(self) -> dict:
         """The documented JSON form: terms as [a, b, coefficient-string]."""
@@ -319,203 +320,76 @@ def _parse_term(chunk: str) -> tuple[tuple[int, int], int]:
     return (a, b), coeff
 
 
-def _as_poly(value: object):
-    if isinstance(value, BivariatePolynomial):
+def _as_poly(like: BivariatePolynomial, value: object):
+    """value as a polynomial of like's class; an int becomes a constant, and
+    any other value (the other polynomial class too) gives NotImplemented."""
+    if type(value) is type(like):
         return value
     if isinstance(value, int):
-        return BivariatePolynomial.const(value)
+        return like.const(value)
     return NotImplemented
 
 
-def _int_power(base: int, exponent: int, cache: dict[int, int]) -> int:
-    if exponent not in cache:
-        cache[exponent] = base ** exponent
-    return cache[exponent]
+def _power(base, exponent: int, powers: list):
+    """base**exponent, where powers lists base**0, base**1, ... and is
+    extended as far as needed."""
+    while len(powers) <= exponent:
+        powers.append(powers[-1] * base)
+    return powers[exponent]
 
 
-def _univar_power(base, exponent, cache):
-    while exponent not in cache:
-        top = max(cache)
-        cache[top + 1] = cache[top] * base
-    return cache[exponent]
+class UnivariatePolynomial(BivariatePolynomial):
+    """Immutable polynomial in one variable, q by convention.
 
+    It is a BivariatePolynomial in s alone: q^p is stored as s^p, so every
+    ring operation is inherited, and leading-term division with no t power
+    is univariate long division.  It is rendered in q and never mixes with
+    BivariatePolynomial: such arithmetic raises TypeError, and the two
+    classes never compare equal.
+    """
 
-class UnivariatePolynomial:
-    """Immutable dense polynomial in one variable (q by convention)."""
-
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> UnivariatePolynomial:
-        return cls()
-
-    @classmethod
-    def one(cls) -> UnivariatePolynomial:
-        return cls((1,))
-
-    @classmethod
-    def const(cls, c: int) -> UnivariatePolynomial:
-        return cls((c,))
+        self._terms = {(p, 0): c for p, c in enumerate(coeffs) if c}
 
     @classmethod
     def monomial(cls, power: int, c: int = 1) -> UnivariatePolynomial:
         if power < 0:
             raise ValueError("power must be nonnegative")
-        return cls((0,) * power + (c,))
+        return cls._from_terms({(power, 0): c} if c else {})
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Coefficients indexed by exponent; empty for the zero polynomial."""
-        return self._coeffs
+        return tuple(self.coeff_at(p) for p in range(self.degree + 1))
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, UnivariatePolynomial):
-            return self._coeffs == other._coeffs
-        if isinstance(other, int):
-            return self._coeffs == UnivariatePolynomial.const(other)._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __add__(self, other: UnivariatePolynomial | int) -> UnivariatePolynomial:
-        other = _as_univar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return UnivariatePolynomial(
-            (self.coeff_at(i) + other.coeff_at(i)) for i in range(n)
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> UnivariatePolynomial:
-        return UnivariatePolynomial(-c for c in self._coeffs)
-
-    def __sub__(self, other: UnivariatePolynomial | int) -> UnivariatePolynomial:
-        other = _as_univar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: UnivariatePolynomial | int) -> UnivariatePolynomial:
-        other = _as_univar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other: UnivariatePolynomial | int) -> UnivariatePolynomial:
-        if isinstance(other, int):
-            return UnivariatePolynomial(c * other for c in self._coeffs)
-        if not isinstance(other, UnivariatePolynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UnivariatePolynomial.zero()
-        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, ci in enumerate(self._coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(other._coeffs):
-                out[i + j] += ci * cj
-        return UnivariatePolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> UnivariatePolynomial:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        base = self
-        acc = UnivariatePolynomial.one()
-        while exponent:
-            if exponent & 1:
-                acc = acc * base
-            base = base * base
-            exponent >>= 1
-        return acc
+        return max(self._terms)[0] if self._terms else -1
 
     def coeff_at(self, i: int) -> int:
-        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
+        return self._terms.get((i, 0), 0)
 
     def eval_at(self, x: int) -> int:
-        total = 0
-        for c in reversed(self._coeffs):
-            total = total * x + c
-        return total
-
-    def exact_div(self, divisor: UnivariatePolynomial) -> UnivariatePolynomial:
-        """Exact quotient self / divisor; raises IndivisibleError if inexact."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return UnivariatePolynomial.zero()
-        rem = list(self._coeffs)
-        dd = divisor.degree
-        dc = divisor._coeffs[-1]
-        if len(rem) - 1 < dd:
-            raise IndivisibleError(f"{self} is not exactly divisible by {divisor}")
-        quot = [0] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            if c % dc:
-                raise IndivisibleError(f"{self} is not exactly divisible by {divisor}")
-            k = c // dc
-            quot[i - dd] = k
-            for j, dj in enumerate(divisor._coeffs):
-                rem[i - dd + j] -= k * dj
-        if any(rem):
-            raise IndivisibleError(f"{self} is not exactly divisible by {divisor}")
-        return UnivariatePolynomial(quot)
+        return self.eval_int(x, 0)
 
     def canonical_text(self, var: str = "q") -> str:
         """Deterministic rendering, highest power first, e.g. "q^2 + q + 1"."""
         return _render_terms(self._factored_terms(var), latex=False)
 
-    def latex(self) -> str:
-        """LaTeX rendering, highest power first, e.g. "q^{2} + q + 1"."""
-        return _render_terms(self._factored_terms("q"), latex=True)
-
-    def _factored_terms(self, var: str):
-        powers = range(len(self._coeffs) - 1, -1, -1)
-        return ((self._coeffs[p], ((var, p),)) for p in powers if self._coeffs[p])
-
-    def __str__(self) -> str:
-        return self.canonical_text()
+    def _factored_terms(self, var: str = "q"):
+        return ((c, ((var, p),)) for p, _, c in self.terms())
 
     def __repr__(self) -> str:
-        return f"UnivariatePolynomial({self._coeffs!r})"
+        return f"UnivariatePolynomial({self.coeffs!r})"
 
     def to_json_dict(self) -> dict:
-        return {"coeffs": [str(c) for c in self._coeffs]}
+        return {"coeffs": [str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> UnivariatePolynomial:
         return cls(int(c) for c in doc["coeffs"])
-
-
-def _as_univar(value: object):
-    if isinstance(value, UnivariatePolynomial):
-        return value
-    if isinstance(value, int):
-        return UnivariatePolynomial.const(value)
-    return NotImplemented
 
 
 ZERO = BivariatePolynomial.zero()

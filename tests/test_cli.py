@@ -4,7 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from lucasnomial import BivariatePolynomial, UnivariatePolynomial
+from lucasnomial import BivariatePolynomial, UnivariatePolynomial, lucas_F
 from lucasnomial.cli import main
 
 
@@ -44,6 +44,13 @@ def test_lucasnomial_methods_agree():
         assert code == 0
         outputs.add(out)
     assert outputs == {"s^4 + 3*s^2*t + 2*t^2\n"}
+
+
+def test_lucasnomial_recursions_run_deep():
+    # row 600 is past the interpreter's default recursion depth
+    expected = lucas_F(600).canonical_text() + "\n"
+    for method in ("rec-fib", "rec-luc"):
+        assert run("lucasnomial", "600", "599", "--method", method) == (0, expected, "")
 
 
 def test_lucasnomial_out_of_range_prints_zero():

@@ -47,12 +47,15 @@ def test_recursion_fib_examples():
     assert via_recursion_fib(2, 1) == S
     assert via_recursion_fib(4, 2) == via_quotient(4, 2)
     assert via_recursion_fib(6, 3) == via_quotient(6, 3)
+    # past the interpreter's default recursion depth
+    assert via_recursion_fib(520, 519) == lucas_F(520)
 
 
 def test_recursion_luc_examples():
     assert via_recursion_luc(2, 1) == S
     assert via_recursion_luc(0, 0) == ONE
     assert via_recursion_luc(5, 2) == via_quotient(5, 2)
+    assert via_recursion_luc(520, 1) == lucas_F(520)
 
 
 @pytest.mark.parametrize("n", range(13))

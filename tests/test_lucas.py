@@ -118,6 +118,12 @@ def test_fresh_cache_matches_module_cache():
     assert cache.fib(10) == lucas_F(10)
     assert cache.luc(10) == lucas_L(10)
     assert cache.factorial(10) == lucas_factorial(10)
+    # sequence lookups build no factorials; factorial() builds only its own
+    fresh = LucasCache()
+    assert fresh.fib(60) == lucas_F(60)
+    assert fresh.luc(60) == lucas_L(60)
+    assert len(fresh._fact) == 2
+    assert fresh.factorial(60) == lucas_factorial(60)
 
 
 def test_concurrent_cache_extension_is_consistent():

@@ -12,9 +12,21 @@ def P(text: str) -> BivariatePolynomial:
 # strategies for small random polynomials with exact integer coefficients
 exponents = st.tuples(st.integers(0, 5), st.integers(0, 5))
 coeffs = st.integers(-9, 9).filter(bool)
-polys = st.dictionaries(exponents, coeffs, max_size=5).map(BivariatePolynomial)
-nonzero_polys = polys.filter(bool)
+bivariate_polys = st.dictionaries(exponents, coeffs, max_size=5).map(
+    BivariatePolynomial
+)
+# the ring laws run on both classes; one draw never mixes them
+univariate_polys = st.lists(st.integers(-9, 9), max_size=6).map(UnivariatePolynomial)
+poly_class = st.sampled_from([bivariate_polys, univariate_polys])
 points = st.integers(-4, 4)
+
+
+def same_class(count: int, nonzero_last: bool = False):
+    def draws(polys):
+        last = polys.filter(bool) if nonzero_last else polys
+        return st.tuples(*[polys] * (count - 1), last)
+
+    return poly_class.flatmap(draws)
 
 
 def test_add_disjoint_supports():
@@ -120,44 +132,55 @@ def test_parse_rejects_garbage():
 def test_json_round_trip():
     p = P("s^4 + 3*s^2*t - 2*t^2")
     assert BivariatePolynomial.from_json_dict(p.to_json_dict()) == p
+    for coeffs in ((), (5,), (1, 0, -2, 0, 3), (0, 0, 7)):
+        u = UnivariatePolynomial(coeffs)
+        assert UnivariatePolynomial.from_json_dict(u.to_json_dict()) == u
+    assert UnivariatePolynomial((0, 0, 7)).to_json_dict() == {"coeffs": ["0", "0", "7"]}
 
 
-@given(polys, polys)
-def test_add_commutes(p, q):
+@given(same_class(2))
+def test_add_commutes(pq):
+    p, q = pq
     assert p + q == q + p
 
 
-@given(polys, polys, polys)
-def test_add_associates(p, q, r):
+@given(same_class(3))
+def test_add_associates(pqr):
+    p, q, r = pqr
     assert (p + q) + r == p + (q + r)
 
 
-@given(polys, polys)
-def test_mul_commutes(p, q):
+@given(same_class(2))
+def test_mul_commutes(pq):
+    p, q = pq
     assert p * q == q * p
 
 
-@given(polys, polys, polys)
-def test_mul_associates(p, q, r):
+@given(same_class(3))
+def test_mul_associates(pqr):
+    p, q, r = pqr
     assert (p * q) * r == p * (q * r)
 
 
-@given(polys, polys, polys)
-def test_mul_distributes(p, q, r):
+@given(same_class(3))
+def test_mul_distributes(pqr):
+    p, q, r = pqr
     assert p * (q + r) == p * q + p * r
 
 
-@given(polys, nonzero_polys)
-def test_exact_div_inverts_mul(q, d):
+@given(same_class(2, nonzero_last=True))
+def test_exact_div_inverts_mul(qd):
+    q, d = qd
     assert (q * d).exact_div(d) == q
 
 
-@given(polys, polys, points, points)
-def test_eval_is_multiplicative(p, q, s0, t0):
+@given(same_class(2), points, points)
+def test_eval_is_multiplicative(pq, s0, t0):
+    p, q = pq
     assert (p * q).eval_int(s0, t0) == p.eval_int(s0, t0) * q.eval_int(s0, t0)
 
 
-@given(polys)
+@given(bivariate_polys)
 def test_text_round_trip(p):
     assert BivariatePolynomial.parse(p.canonical_text()) == p
 
@@ -189,3 +212,41 @@ def test_univariate_exact_div():
 def test_univariate_trailing_zeros_trimmed():
     assert UnivariatePolynomial((1, 2, 0, 0)).coeffs == (1, 2)
     assert UnivariatePolynomial((0, 0)).is_zero()
+
+
+def test_univariate_results_keep_their_class():
+    q = UnivariatePolynomial.monomial(1)
+    for value in (q * q, -q, q ** 0, (q * q).exact_div(q), q + 1, 1 - q, 3 * q):
+        assert type(value) is UnivariatePolynomial
+    for value in (S * T, -S, S ** 0, (S * T).exact_div(T), 1 - S):
+        assert type(value) is BivariatePolynomial
+
+
+def test_classes_never_mix():
+    u, b = UnivariatePolynomial.const(3), BivariatePolynomial.const(3)
+    assert u != b
+    assert not u == b
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(TypeError):
+            op(u, b)
+        with pytest.raises(TypeError):
+            op(b, u)
+    with pytest.raises(TypeError):
+        b.exact_div(u)
+
+
+def test_constants_hash_as_their_integer():
+    for cls in (BivariatePolynomial, UnivariatePolynomial):
+        c = cls.const(7)
+        assert c == 7 and hash(c) == hash(7)
+        assert len({7, c}) == 1
+        assert cls.zero() == 0 and hash(cls.zero()) == hash(0)
+    assert hash(ZERO) == hash(0)
+    assert hash(P("s + 2*t")) == hash(P("2*t + s"))
+
+
+def test_univariate_repr_round_trip():
+    for coeffs in ((), (5,), (1, 0, -2, 0, 3), (0, 0, 7)):
+        u = UnivariatePolynomial(coeffs)
+        assert eval(repr(u), {"UnivariatePolynomial": UnivariatePolynomial}) == u
+    assert repr(UnivariatePolynomial((1, 0, -2, 0, 0))) == "UnivariatePolynomial((1, 0, -2))"
