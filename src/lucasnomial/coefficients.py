@@ -27,10 +27,8 @@ def via_quotient(n: int, k: int) -> BivariatePolynomial:
     return lucas_factorial(n).exact_div(lucas_factorial(k) * lucas_factorial(n - k))
 
 
-# Rows a recursive descent may span.  Past it, each route first fills its memo
-# from the lowest row up, so every call finds its children cached and the
-# recursion depth no longer grows with n.
-_DESCENT = 128
+# Each recursion route first fills its memo from the lowest row up, so every
+# call finds its children cached and the recursion depth does not grow with n.
 # Set while a thread fills the fib memo, so the calls of that fill do not
 # start fills of their own; per thread, so other callers still fill theirs.
 _filling = threading.local()
@@ -43,7 +41,7 @@ def via_recursion_fib(n: int, k: int) -> BivariatePolynomial:
         return ZERO
     if k == 0 or k == n:
         return ONE
-    if n > _DESCENT and not getattr(_filling, "active", False):
+    if not getattr(_filling, "active", False):
         _filling.active = True
         try:
             for key in _fib_keys_upward(n, k):
@@ -79,10 +77,9 @@ def via_recursion_luc(n: int, k: int) -> BivariatePolynomial:
     """Companion-seeded recursion, rescaled back down from 2^n times."""
     if k < 0 or k > n:
         return ZERO
-    if n > _DESCENT:
-        for m in range(k + 1):
-            for rest in range(n - k + 1):
-                _doubled(m, rest)
+    for m in range(k + 1):
+        for rest in range(n - k + 1):
+            _doubled(m, rest)
     scaled = _doubled(k, n - k)
     scale = 1 << n
     terms = {}

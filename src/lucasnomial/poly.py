@@ -206,9 +206,15 @@ class BivariatePolynomial:
     def eval_int(self, s0: int, t0: int) -> int:
         """Exact integer value at s = s0, t = t0."""
         total = 0
-        spow, tpow = [1], [1]
+        # each power occurring is computed once, however sparse the exponents
+        spow: dict[int, int] = {}
+        tpow: dict[int, int] = {}
         for (a, b), c in self._terms.items():
-            total += c * _power(s0, a, spow) * _power(t0, b, tpow)
+            if a not in spow:
+                spow[a] = s0**a
+            if b not in tpow:
+                tpow[b] = t0**b
+            total += c * spow[a] * tpow[b]
         return total
 
     def subst_univar(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,18 +17,19 @@ coeffs = st.integers(-9, 9).filter(bool)
 bivariate_polys = st.dictionaries(exponents, coeffs, max_size=5).map(
     BivariatePolynomial
 )
-# the ring laws run on both classes; one draw never mixes them
 univariate_polys = st.lists(st.integers(-9, 9), max_size=6).map(UnivariatePolynomial)
-poly_class = st.sampled_from([bivariate_polys, univariate_polys])
 points = st.integers(-4, 4)
 
 
-def same_class(count: int, nonzero_last: bool = False):
-    def draws(polys):
+def each_class(count: int, nonzero_last: bool = False):
+    """count operands of each polynomial class, as one tuple per class: every
+    example checks a ring law on both classes, and never mixes them."""
+
+    def operands(polys):
         last = polys.filter(bool) if nonzero_last else polys
         return st.tuples(*[polys] * (count - 1), last)
 
-    return poly_class.flatmap(draws)
+    return st.tuples(operands(bivariate_polys), operands(univariate_polys))
 
 
 def test_add_disjoint_supports():
@@ -138,46 +141,46 @@ def test_json_round_trip():
     assert UnivariatePolynomial((0, 0, 7)).to_json_dict() == {"coeffs": ["0", "0", "7"]}
 
 
-@given(same_class(2))
-def test_add_commutes(pq):
-    p, q = pq
-    assert p + q == q + p
+@given(each_class(2))
+def test_add_commutes(draws):
+    for p, q in draws:
+        assert p + q == q + p
 
 
-@given(same_class(3))
-def test_add_associates(pqr):
-    p, q, r = pqr
-    assert (p + q) + r == p + (q + r)
+@given(each_class(3))
+def test_add_associates(draws):
+    for p, q, r in draws:
+        assert (p + q) + r == p + (q + r)
 
 
-@given(same_class(2))
-def test_mul_commutes(pq):
-    p, q = pq
-    assert p * q == q * p
+@given(each_class(2))
+def test_mul_commutes(draws):
+    for p, q in draws:
+        assert p * q == q * p
 
 
-@given(same_class(3))
-def test_mul_associates(pqr):
-    p, q, r = pqr
-    assert (p * q) * r == p * (q * r)
+@given(each_class(3))
+def test_mul_associates(draws):
+    for p, q, r in draws:
+        assert (p * q) * r == p * (q * r)
 
 
-@given(same_class(3))
-def test_mul_distributes(pqr):
-    p, q, r = pqr
-    assert p * (q + r) == p * q + p * r
+@given(each_class(3))
+def test_mul_distributes(draws):
+    for p, q, r in draws:
+        assert p * (q + r) == p * q + p * r
 
 
-@given(same_class(2, nonzero_last=True))
-def test_exact_div_inverts_mul(qd):
-    q, d = qd
-    assert (q * d).exact_div(d) == q
+@given(each_class(2, nonzero_last=True))
+def test_exact_div_inverts_mul(draws):
+    for q, d in draws:
+        assert (q * d).exact_div(d) == q
 
 
-@given(same_class(2), points, points)
-def test_eval_is_multiplicative(pq, s0, t0):
-    p, q = pq
-    assert (p * q).eval_int(s0, t0) == p.eval_int(s0, t0) * q.eval_int(s0, t0)
+@given(each_class(2), points, points)
+def test_eval_is_multiplicative(draws, s0, t0):
+    for p, q in draws:
+        assert (p * q).eval_int(s0, t0) == p.eval_int(s0, t0) * q.eval_int(s0, t0)
 
 
 @given(bivariate_polys)
@@ -250,3 +253,28 @@ def test_univariate_repr_round_trip():
         u = UnivariatePolynomial(coeffs)
         assert eval(repr(u), {"UnivariatePolynomial": UnivariatePolynomial}) == u
     assert repr(UnivariatePolynomial((1, 0, -2, 0, 0))) == "UnivariatePolynomial((1, 0, -2))"
+
+
+def test_eval_int_sparse_high_degree():
+    # only the powers that occur are computed and held, not every power up to
+    # the top one: holding them all would peak near 40 MB here
+    p = BivariatePolynomial({(20_000, 0): 1, (0, 19_999): 2})
+    tracemalloc.start()
+    try:
+        value = p.eval_int(3, -1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 3**20_000 - 2
+    assert peak < 1_000_000
+    assert UnivariatePolynomial.monomial(20_000).eval_at(-1) == 1
+
+
+def test_univariate_inherited_accessors_see_q_as_s():
+    u = UnivariatePolynomial((4, 0, -1))
+    assert u.terms() == [(2, 0, -1), (0, 0, 4)]
+    assert u.leading() == (2, 0, -1)
+    assert u.coefficient(2, 0) == -1 and u.coefficient(0, 1) == 0
+    assert u.eval_int(3, 0) == u.eval_at(3) == -5
+    parsed = UnivariatePolynomial.parse("s^2")
+    assert type(parsed) is BivariatePolynomial and parsed == S * S
