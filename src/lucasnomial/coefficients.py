@@ -1,7 +1,8 @@
 """Lucasnomial coefficients computed by three independent routes.
 
-The quotient route divides factorial products directly, which is exact
-because every factorial is monic in s under the division order.  The other
+The quotient route divides the top min(k, n-k) factors of F(n)! by a
+factorial, which is exact because every factorial is monic in s under the
+division order.  The other
 two run Pascal-style recursions seeded by the two index-addition splits;
 the companion-seeded one is carried as 2^(m+n) times the target so the
 halved companions never appear.  Each route memoizes on (n, k) separately,
@@ -21,10 +22,17 @@ from .poly import BivariatePolynomial, ONE, T, ZERO
 
 @cache
 def via_quotient(n: int, k: int) -> BivariatePolynomial:
-    """Factorial quotient; 0 outside 0 <= k <= n."""
+    """Factorial quotient; 0 outside 0 <= k <= n.
+
+    With j = min(k, n - k), F(n)!/F(n-j)! cancels to the j top factors, so
+    only F(j)! is divided out and F(n)! is never built."""
     if k < 0 or k > n:
         return ZERO
-    return lucas_factorial(n).exact_div(lucas_factorial(k) * lucas_factorial(n - k))
+    j = min(k, n - k)
+    top = ONE
+    for i in range(n - j + 1, n + 1):
+        top = top * lucas_F(i)
+    return top.exact_div(lucas_factorial(j))
 
 
 # Each recursion route first fills its memo from the lowest row up, so every
@@ -32,6 +40,8 @@ def via_quotient(n: int, k: int) -> BivariatePolynomial:
 # Set while a thread fills the fib memo, so the calls of that fill do not
 # start fills of their own; per thread, so other callers still fill theirs.
 _filling = threading.local()
+# The nontrivial keys via_recursion_fib has memoized, so a fill stops at them.
+_fib_done: set[tuple[int, int]] = set()
 
 
 @cache
@@ -49,17 +59,27 @@ def via_recursion_fib(n: int, k: int) -> BivariatePolynomial:
         finally:
             _filling.active = False
     m, rest = k, n - k
-    return lucas_F(rest + 1) * via_recursion_fib(n - 1, k - 1) + T * lucas_F(
+    value = lucas_F(rest + 1) * via_recursion_fib(n - 1, k - 1) + T * lucas_F(
         m - 1
     ) * via_recursion_fib(n - 1, rest - 1)
+    _fib_done.add((n, k))
+    return value
 
 
 def _fib_keys_upward(n: int, k: int) -> list[tuple[int, int]]:
-    # the keys via_recursion_fib(n, k) reaches below row n, lowest row first
+    # the nontrivial keys via_recursion_fib(n, k) reaches below row n and has
+    # not yet memoized, lowest row first; empty when both children are
     keys: list[tuple[int, int]] = []
     row = {k}
     for r in range(n, 1, -1):
-        row = {j for i in row if 0 < i < r for j in (i - 1, r - i - 1)}
+        row = {
+            j
+            for i in row
+            for j in (i - 1, r - i - 1)
+            if 0 < j < r - 1 and (r - 1, j) not in _fib_done
+        }
+        if not row:
+            break
         keys.extend((r - 1, j) for j in sorted(row))
     keys.reverse()
     return keys

@@ -10,19 +10,33 @@ weight-2 empty tiling, and reproduces 2^(m+n) times the coefficient.
 Each sum can be evaluated two ways: `enumerate` materializes every tiling
 pair, `gf` multiplies per-part closed forms.  Enumeration is refused above a
 configurable predicted-pair budget.
+
+The gf sum walks each partition as its boundary lattice path from (0, 0) to
+(n, m), depth first.  At column x with h rows placed, an up step places a row
+of length x and a right step closes a complement column of length exactly h,
+so each step contributes one closed form and no partition is built.  Sibling
+paths share the product of their common prefix; a zero factor (the linear
+flavor's column of length 1) prunes its subtree, and once a path reaches the
+top or right edge its remaining steps are one precomputed power.  Every
+partition with a nonzero product is still its own leaf: the walk has no memo
+on (x, h).  Such a memo is the lattice-path recursion; splitting on "first
+row full, or last column empty" gives
+W(m, n) = F(n+1)*W(m-1, n) + t*F(m-1)*W(m, n-1), which is exactly
+via_recursion_fib, and the theorem check would become that route checking
+itself.  Counting pairs for the budget has no such concern, so
+predicted_pair_count runs that recursion over integer tiling counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 
 from .coefficients import via_quotient
 from .errors import DomainError, ResourceError
 from .lucas import check_lemma1, lucas_F, lucas_L
 from .partitions import enumerate_in_rect
-from .poly import BivariatePolynomial, ONE, T
+from .poly import BivariatePolynomial, ONE, T, _power
 from .reports import CaseResult, IdentityReport
 from .tilings import (
     CIRCULAR,
@@ -85,41 +99,67 @@ def _pair_kinds(flavor: str) -> tuple[str, str]:
     raise DomainError(f"unknown flavor {flavor!r}")
 
 
-def _walk(m: int, n: int, flavor: str, per_part):
-    """Yield (partition, factors) for every partition in the m x n rectangle,
-    where factors holds per_part(kind, length) for each row of the partition
-    and then for each column of its complement."""
-    row_kind, col_kind = _pair_kinds(flavor)
-    for part in enumerate_in_rect(m, n):
-        factors = [per_part(row_kind, p) for p in part.parts]
-        factors += [per_part(col_kind, p) for p in part.complement().parts]
-        yield part, factors
-
-
 def predicted_pair_count(m: int, n: int, flavor: str) -> int:
-    """Number of (partition, pair) objects enumeration would produce."""
-    total = 0
-    for _, counts in _walk(m, n, flavor, _count):
-        total += prod(counts)
-    return total
+    """Number of (partition, pair) objects enumeration would produce.
+
+    Counts weighted lattice paths in O(mn) integer steps: ways[h] holds the
+    count of paths to (x, h), an up step at column x weighs the number of
+    row tilings of length x, and a right step at height h the number of
+    column tilings of length h."""
+    row_kind, col_kind = _pair_kinds(flavor)
+    cols = [_count(col_kind, h) for h in range(m + 1)]
+    ways = [1] + [0] * m
+    for x in range(n + 1):
+        if x:
+            ways = [w * c for w, c in zip(ways, cols)]
+        row = _count(row_kind, x)
+        for h in range(1, m + 1):
+            ways[h] += ways[h - 1] * row
+    return ways[m]
 
 
 def iter_pairs(m: int, n: int, flavor: str):
     """Yield every (partition, TilingPair) object, deterministically ordered."""
-    for part, pools in _walk(m, n, flavor, _tiling_pool):
-        rows = part.rows
+    row_kind, col_kind = _pair_kinds(flavor)
+    for part in enumerate_in_rect(m, n):
+        pools = [_tiling_pool(row_kind, p) for p in part.parts]
+        pools += [_tiling_pool(col_kind, p) for p in part.complement().parts]
         for combo in product(*pools):
-            yield part, TilingPair(combo[:rows], combo[rows:], flavor)
+            yield part, TilingPair(combo[:m], combo[m:], flavor)
+
+
+def _gf_sum(m: int, n: int, flavor: str) -> BivariatePolynomial:
+    # depth-first over boundary paths; a stack entry is (x, h, prefix product)
+    row_kind, col_kind = _pair_kinds(flavor)
+    ups = [gf(row_kind, x) for x in range(n + 1)]
+    rights = [gf(col_kind, h) for h in range(m + 1)]
+    # the forced tails: right steps at height m, up steps at column n
+    right_tail, up_tail = [ONE], [ONE]
+    acc: dict[tuple[int, int], int] = {}
+    stack = [(0, 0, ONE)]
+    while stack:
+        x, h, prefix = stack.pop()
+        if h == m or x == n:
+            tail = (
+                _power(rights[m], n - x, right_tail)
+                if h == m
+                else _power(ups[n], m - h, up_tail)
+            )
+            if tail:
+                for key, c in (prefix * tail)._terms.items():
+                    acc[key] = acc.get(key, 0) + c
+            continue
+        if rights[h]:
+            stack.append((x + 1, h, prefix * rights[h]))
+        stack.append((x, h + 1, prefix * ups[x]))
+    return BivariatePolynomial(acc)
 
 
 def _rhs(m: int, n: int, flavor: str, mode: str, budget: int) -> BivariatePolynomial:
     if m < 0 or n < 0:
         raise DomainError("rectangle dimensions must be nonnegative")
     if mode == "gf":
-        total = BivariatePolynomial.zero()
-        for _, gfs in _walk(m, n, flavor, gf):
-            total = total + prod(gfs, start=ONE)
-        return total
+        return _gf_sum(m, n, flavor)
     if mode == "enumerate":
         predicted = predicted_pair_count(m, n, flavor)
         if predicted > budget:

@@ -96,16 +96,19 @@ def _tiling_pool(kind: str, n: int) -> tuple[Tiling, ...]:
     raise DomainError(f"unknown tiling kind {kind!r}")
 
 
-@cache
 def _count(kind: str, n: int) -> int:
     """Tiling count without materializing; matches enumerate_tilings."""
-    if kind == LINEAR:
-        return 1 if n <= 1 else _count(LINEAR, n - 1) + _count(LINEAR, n - 2)
     if kind == LINEAR_NOLEAD:
         return 1 if n == 0 else 0 if n == 1 else _count(LINEAR, n - 2)
-    if kind == CIRCULAR:
-        return 1 if n <= 1 else _count(LINEAR, n) + _count(LINEAR, n - 2)
-    raise DomainError(f"unknown tiling kind {kind!r}")
+    if kind not in (LINEAR, CIRCULAR):
+        raise DomainError(f"unknown tiling kind {kind!r}")
+    # linear counts of lengths n - 2, n - 1 and n, the first two 0 below 0
+    before, last, count = 0, 0, 1
+    for _ in range(n):
+        before, last, count = last, count, count + last
+    if kind == CIRCULAR and n >= 2:
+        return count + before
+    return count
 
 
 def enumerate_tilings(kind: str, n: int) -> list[Tiling]:

@@ -9,6 +9,7 @@ from lucasnomial import (
     via_recursion_fib,
     via_recursion_luc,
 )
+from lucasnomial.coefficients import _fib_keys_upward
 from lucasnomial.poly import ONE, S, ZERO
 
 
@@ -41,6 +42,9 @@ def test_quotient_examples():
     assert via_quotient(4, 2) == P("s^4 + 3*s^2*t + 2*t^2")
     assert via_quotient(4, 5) == ZERO
     assert via_quotient(4, -1) == ZERO
+    # small k cancels to k top factors; F(300)! is never built
+    assert via_quotient(300, 3) == via_recursion_luc(300, 3)
+    assert via_quotient(300, 297) == via_quotient(300, 3)
 
 
 def test_recursion_fib_examples():
@@ -49,6 +53,14 @@ def test_recursion_fib_examples():
     assert via_recursion_fib(6, 3) == via_quotient(6, 3)
     # past the interpreter's default recursion depth
     assert via_recursion_fib(520, 519) == lucas_F(520)
+
+
+def test_recursion_fib_fill_stops_at_memoized_keys():
+    for k in range(31):
+        via_recursion_fib(30, k)
+    # both children of (31, k) are memoized, so there is nothing to fill
+    assert all(_fib_keys_upward(31, k) == [] for k in range(32))
+    assert _fib_keys_upward(32, 16) == [(31, 15)]
 
 
 def test_recursion_luc_examples():

@@ -1,31 +1,86 @@
+from math import prod
+
 import pytest
 
 from lucasnomial import (
     BivariatePolynomial,
+    CIRCULAR,
     CIRCULAR_PAIR,
     DomainError,
+    FIBONOMIAL,
+    LINEAR,
+    LINEAR_NOLEAD,
     LINEAR_PAIR,
     ResourceError,
+    enumerate_in_rect,
+    enumerate_tilings,
+    gf,
     iter_pairs,
     predicted_pair_count,
     rhs_circular,
     rhs_linear,
+    specialize,
     verify_recursions,
     verify_theorem,
     via_quotient,
 )
+from lucasnomial import interpretations
 from lucasnomial.interpretations import recursion_cases, theorem_cases
 from lucasnomial.poly import ONE, S
+
+FLAVOR_KINDS = {LINEAR_PAIR: (LINEAR, LINEAR_NOLEAD), CIRCULAR_PAIR: (CIRCULAR, CIRCULAR)}
 
 
 def P(text: str) -> BivariatePolynomial:
     return BivariatePolynomial.parse(text)
 
 
+def per_partition(m, n, flavor, per_part):
+    """Reference sum over enumerated partitions and their complements of the
+    product of per_part(kind, length) over rows and complement columns."""
+    row_kind, col_kind = FLAVOR_KINDS[flavor]
+    return sum(
+        prod(
+            [per_part(row_kind, p) for p in part.parts]
+            + [per_part(col_kind, p) for p in part.complement().parts]
+        )
+        for part in enumerate_in_rect(m, n)
+    )
+
+
+def brute_count(kind, length):
+    return len(enumerate_tilings(kind, length))
+
+
 def test_linear_base_cases():
     assert rhs_linear(1, 1) == S
     assert rhs_linear(2, 2) == P("s^4 + 3*s^2*t + 2*t^2")
     assert rhs_linear(0, 6) == ONE
+
+
+def test_empty_paths():
+    # an m x 0 or 0 x n rectangle holds one partition, a path of one kind
+    # of step only
+    for k in range(6):
+        assert rhs_linear(k, 0) == ONE
+        assert rhs_linear(0, k) == ONE
+        assert rhs_circular(k, 0) == BivariatePolynomial.const(1 << k)
+        assert rhs_circular(0, k) == BivariatePolynomial.const(1 << k)
+
+
+@pytest.mark.parametrize("flavor", [LINEAR_PAIR, CIRCULAR_PAIR])
+def test_gf_walk_matches_per_partition_sum(flavor):
+    fn = rhs_linear if flavor == LINEAR_PAIR else rhs_circular
+    for m in range(7):
+        for n in range(7):
+            assert fn(m, n) == per_partition(m, n, flavor, gf), (m, n)
+
+
+@pytest.mark.parametrize("m, n", [(8, 8), (10, 3), (3, 10)])
+def test_gf_matches_quotient_on_larger_rectangles(m, n):
+    expected = via_quotient(m + n, m)
+    assert rhs_linear(m, n) == expected
+    assert rhs_circular(m, n) == expected * (1 << (m + n))
 
 
 def test_circular_base_cases():
@@ -121,6 +176,33 @@ def test_predicted_count_matches_enumeration():
                 assert predicted_pair_count(m, n, flavor) == sum(
                     1 for _ in iter_pairs(m, n, flavor)
                 )
+
+
+def test_predicted_count_matches_per_partition_count():
+    for m in range(6):
+        for n in range(6):
+            for flavor in (LINEAR_PAIR, CIRCULAR_PAIR):
+                assert predicted_pair_count(m, n, flavor) == per_partition(
+                    m, n, flavor, brute_count
+                ), (m, n, flavor)
+
+
+def test_linear_count_is_the_fibonomial():
+    for m in range(13):
+        for n in range(13):
+            assert predicted_pair_count(m, n, LINEAR_PAIR) == specialize(
+                m + n, m, FIBONOMIAL
+            )
+
+
+def test_over_budget_refusal_enumerates_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the budget check enumerated partitions")
+
+    monkeypatch.setattr(interpretations, "enumerate_in_rect", refuse)
+    for fn in (rhs_linear, rhs_circular):
+        with pytest.raises(ResourceError):
+            fn(15, 15, mode="enumerate")
 
 
 def test_budget_refusal():

@@ -13,6 +13,7 @@ from lucasnomial import (
     gf,
 )
 from lucasnomial.poly import TWO, ZERO
+from lucasnomial.tilings import KINDS, _count
 
 
 def P(text: str) -> BivariatePolynomial:
@@ -104,6 +105,23 @@ def test_counts_follow_recurrences():
         assert linear_counts[n] == linear_counts[n - 1] + linear_counts[n - 2]
         circ = len(enumerate_tilings(CIRCULAR, n))
         assert circ == linear_counts[n] + linear_counts[n - 2]
+
+
+def test_counts_match_enumeration():
+    for kind in KINDS:
+        for n in range(13):
+            assert _count(kind, n) == len(enumerate_tilings(kind, n)), (kind, n)
+    with pytest.raises(DomainError):
+        _count("spiral", 3)
+
+
+def test_counts_need_no_deep_recursion():
+    older, old = 1, 1  # linear counts of lengths 0 and 1
+    for _ in range(2999):
+        older, old = old, old + older
+    assert _count(LINEAR, 3000) == old
+    assert _count(LINEAR_NOLEAD, 3002) == old
+    assert _count(CIRCULAR, 3001) == (old + older) + older
 
 
 @pytest.mark.parametrize("kind", [LINEAR, LINEAR_NOLEAD, CIRCULAR])
