@@ -22,7 +22,7 @@ from .interpretations import (
     verify_theorem,
 )
 from .lucas import LucasCache, check_lemma1, lucas_F, lucas_L, lucas_factorial
-from .partitions import Partition, enumerate_in_rect
+from .partitions import Partition, enumerate_in_rect, iter_in_rect
 from .poly import BivariatePolynomial, UnivariatePolynomial
 from .reports import CaseResult, IdentityReport
 from .specializations import (
@@ -42,6 +42,7 @@ from .tilings import (
     Tiling,
     enumerate_tilings,
     gf,
+    iter_tilings,
 )
 
 __version__ = "0.1.0"
@@ -65,6 +66,7 @@ __all__ = [
     "via_recursion_luc",
     "Tiling",
     "enumerate_tilings",
+    "iter_tilings",
     "gf",
     "MONO",
     "DOMINO",
@@ -73,6 +75,7 @@ __all__ = [
     "CIRCULAR",
     "Partition",
     "enumerate_in_rect",
+    "iter_in_rect",
     "TilingPair",
     "LINEAR_PAIR",
     "CIRCULAR_PAIR",

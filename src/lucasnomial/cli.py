@@ -15,10 +15,10 @@ from .coefficients import table, via_quotient, via_recursion_fib, via_recursion_
 from .errors import DomainError, ResourceError
 from .interpretations import PAIR_BUDGET, recursion_task_cases, theorem_cases
 from .lucas import check_lemma1, lucas_F, lucas_L, lucas_factorial
-from .partitions import enumerate_in_rect
+from .partitions import iter_in_rect
 from .reports import IdentityReport
 from .specializations import FIBONOMIAL, QBINOMIAL, lnomial, specialize
-from .tilings import CIRCULAR, LINEAR, LINEAR_NOLEAD, enumerate_tilings
+from .tilings import CIRCULAR, LINEAR, LINEAR_NOLEAD, iter_tilings
 
 _TILING_KINDS = {"linear": LINEAR, "nolead": LINEAR_NOLEAD, "circular": CIRCULAR}
 _METHODS = {
@@ -143,7 +143,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_tilings(args) -> int:
-    for tiling in enumerate_tilings(_TILING_KINDS[args.kind], args.n):
+    for tiling in iter_tilings(_TILING_KINDS[args.kind], args.n):
         line = tiling.text()
         if args.weights:
             line += "\t" + tiling.weight().canonical_text()
@@ -152,7 +152,7 @@ def _cmd_tilings(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
-    for part in enumerate_in_rect(args.m, args.n):
+    for part in iter_in_rect(args.m, args.n):
         line = part.text()
         if args.complement:
             line += "\t" + part.complement().text()

@@ -68,8 +68,14 @@ def _part_tuples(length: int, bound: int):
         parts[i + 1:] = [0] * (length - 1 - i)
 
 
-def enumerate_in_rect(m: int, n: int) -> list[Partition]:
-    """All partitions with m parts each at most n, smallest tuple first."""
+def iter_in_rect(m: int, n: int):
+    """Yield the partitions of enumerate_in_rect(m, n) one at a time."""
     if m < 0 or n < 0:
         raise DomainError("rectangle dimensions must be nonnegative")
-    return [Partition(parts, n) for parts in _part_tuples(m, n)]
+    for parts in _part_tuples(m, n):
+        yield Partition(parts, n)
+
+
+def enumerate_in_rect(m: int, n: int) -> list[Partition]:
+    """All partitions with m parts each at most n, smallest tuple first."""
+    return list(iter_in_rect(m, n))

@@ -65,35 +65,48 @@ class Tiling:
         return " ".join(parts) if parts else "(empty)"
 
 
-@cache
-def _tile_seqs(n: int) -> tuple[tuple[str, ...], ...]:
-    """All linear tile sequences covering n squares, lexicographic order."""
-    if n == 0:
-        return ((),)
-    out = []
-    if n >= 2:
-        out.extend((DOMINO,) + rest for rest in _tile_seqs(n - 2))
-    out.extend((MONO,) + rest for rest in _tile_seqs(n - 1))
-    return tuple(out)
+def _tile_seqs(n: int):
+    """Yield every linear tile sequence covering n squares, lexicographic
+    order (a domino before a monomino), holding only the current one."""
+    seq = [DOMINO] * (n // 2) + [MONO] * (n % 2)
+    while True:
+        yield tuple(seq)
+        # the successor turns the last domino into a monomino and refills the
+        # squares after it with dominoes first
+        rest = 0
+        while seq and seq[-1] == MONO:
+            seq.pop()
+            rest += 1
+        if not seq:
+            return
+        seq[-1] = MONO
+        rest += 1
+        seq += [DOMINO] * (rest // 2) + [MONO] * (rest % 2)
+
+
+def iter_tilings(kind: str, n: int):
+    """Yield the tilings of enumerate_tilings(kind, n) one at a time, without
+    building or caching the list."""
+    if n < 0:
+        raise DomainError("strip length must be nonnegative")
+    if kind == LINEAR:
+        yield from (Tiling(LINEAR, seq) for seq in _tile_seqs(n))
+    elif kind == LINEAR_NOLEAD:
+        if n == 0:
+            yield Tiling(LINEAR, ())
+        elif n > 1:
+            yield from (Tiling(LINEAR, (DOMINO,) + rest) for rest in _tile_seqs(n - 2))
+    elif kind == CIRCULAR:
+        yield from (Tiling(CIRCULAR, seq) for seq in _tile_seqs(n))
+        if n >= 2:
+            yield from (Tiling(CIRCULAR, seq, wrap=True) for seq in _tile_seqs(n - 2))
+    else:
+        raise DomainError(f"unknown tiling kind {kind!r}")
 
 
 @cache
 def _tiling_pool(kind: str, n: int) -> tuple[Tiling, ...]:
-    if kind == LINEAR:
-        return tuple(Tiling(LINEAR, seq) for seq in _tile_seqs(n))
-    if kind == LINEAR_NOLEAD:
-        if n == 0:
-            return (Tiling(LINEAR, ()),)
-        if n == 1:
-            return ()
-        return tuple(Tiling(LINEAR, (DOMINO,) + rest) for rest in _tile_seqs(n - 2))
-    if kind == CIRCULAR:
-        straight = tuple(Tiling(CIRCULAR, seq) for seq in _tile_seqs(n))
-        if n < 2:
-            return straight
-        wrapped = tuple(Tiling(CIRCULAR, seq, wrap=True) for seq in _tile_seqs(n - 2))
-        return straight + wrapped
-    raise DomainError(f"unknown tiling kind {kind!r}")
+    return tuple(iter_tilings(kind, n))
 
 
 def _count(kind: str, n: int) -> int:
@@ -117,10 +130,8 @@ def enumerate_tilings(kind: str, n: int) -> list[Tiling]:
     Order is lexicographic over tile sequences; circular tilings list the
     non-wrapping ones first.  linear_nolead drops tilings that begin with a
     monomino, which leaves nothing at n = 1 and only the empty tiling at
-    n = 0.
+    n = 0.  iter_tilings yields the same tilings without the list.
     """
-    if n < 0:
-        raise DomainError("strip length must be nonnegative")
     return list(_tiling_pool(kind, n))
 
 

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from lucasnomial import DomainError, Partition, enumerate_in_rect
+from lucasnomial import DomainError, Partition, enumerate_in_rect, iter_in_rect
 
 
 def test_two_subsets_of_unit_rectangle():
@@ -82,3 +82,11 @@ def test_validation():
 def test_text():
     assert Partition((3, 2, 2, 0, 0), 4).text() == "[3,2,2,0,0]"
     assert Partition((), 3).text() == "[]"
+
+
+def test_iteration_matches_enumeration():
+    for m in range(6):
+        for n in range(6):
+            assert list(iter_in_rect(m, n)) == enumerate_in_rect(m, n), (m, n)
+    with pytest.raises(DomainError):
+        next(iter_in_rect(2, -1))

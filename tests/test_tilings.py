@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from lucasnomial import (
@@ -11,6 +13,7 @@ from lucasnomial import (
     Tiling,
     enumerate_tilings,
     gf,
+    iter_tilings,
 )
 from lucasnomial.poly import TWO, ZERO
 from lucasnomial.tilings import KINDS, _count
@@ -136,3 +139,28 @@ def test_negative_length_rejected():
         enumerate_tilings(LINEAR, -1)
     with pytest.raises(DomainError):
         gf(CIRCULAR, -2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_iteration_matches_enumeration(kind):
+    for n in range(12):
+        assert list(iter_tilings(kind, n)) == enumerate_tilings(kind, n), (kind, n)
+
+
+def test_iteration_rejects_bad_input():
+    with pytest.raises(DomainError):
+        next(iter_tilings(LINEAR, -1))
+    with pytest.raises(DomainError):
+        next(iter_tilings("spiral", 3))
+
+
+def test_iteration_holds_one_tiling_at_a_time():
+    # the listing of L(20) = 15127 circular tilings takes about 6 MB as a list
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in iter_tilings(CIRCULAR, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == _count(CIRCULAR, 20)
+    assert peak < 100_000
