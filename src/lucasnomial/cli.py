@@ -13,7 +13,12 @@ import sys
 
 from .coefficients import table, via_quotient, via_recursion_fib, via_recursion_luc
 from .errors import DomainError, ResourceError
-from .interpretations import PAIR_BUDGET, recursion_task_cases, theorem_cases
+from .interpretations import (
+    PAIR_BUDGET,
+    _check_grid_budget,
+    recursion_task_cases,
+    theorem_cases,
+)
 from .lucas import check_lemma1, lucas_F, lucas_L, lucas_factorial
 from .partitions import iter_in_rect
 from .reports import IdentityReport
@@ -179,6 +184,7 @@ def _cmd_verify(args) -> int:
     else:
         m_max = 5 if args.m_max is None else args.m_max
         n_max = 5 if args.n_max is None else args.n_max
+        _check_grid_budget(m_max, n_max, args.flavor, args.mode, args.budget)
         tasks = [(m, n) for m in range(m_max + 1) for n in range(n_max + 1)]
         runner = lambda mn: theorem_cases(
             mn[0], mn[1], args.flavor, args.mode, args.budget

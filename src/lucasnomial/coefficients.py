@@ -2,16 +2,16 @@
 
 The quotient route divides the top min(k, n-k) factors of F(n)! by a
 factorial, which is exact because every factorial is monic in s under the
-division order.  The other
-two run Pascal-style recursions seeded by the two index-addition splits;
-the companion-seeded one is carried as 2^(m+n) times the target so the
-halved companions never appear.  Each route memoizes on (n, k) separately,
-so cross-route agreement is a genuine check rather than a tautology.
+division order.  The other two run Pascal-style recursions seeded by the two
+index-addition splits, over cells (m, rest) = (k, n-k); the companion-seeded
+one is carried as 2^(m+rest) times the target so the halved companions never
+appear.  The quotient route memoizes on (n, k) and each recursion on its own
+(m, rest) cells, so cross-route agreement is a genuine check rather than a
+tautology.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -35,13 +35,24 @@ def via_quotient(n: int, k: int) -> BivariatePolynomial:
     return top.exact_div(lucas_factorial(j))
 
 
-# Each recursion route first fills its memo from the lowest row up, so every
-# call finds its children cached and the recursion depth does not grow with n.
-# Set while a thread fills the fib memo, so the calls of that fill do not
-# start fills of their own; per thread, so other callers still fill theirs.
-_filling = threading.local()
-# The nontrivial keys via_recursion_fib has memoized, so a fill stops at them.
-_fib_done: set[tuple[int, int]] = set()
+# Both recursion routes memoize on (m, rest) = (k, n - k) cells and fill the
+# whole rectangle below their target lowest first, so every cell finds its two
+# children cached and the recursion depth does not grow with n.
+def _grid(cell, m: int, rest: int) -> BivariatePolynomial:
+    for i in range(m + 1):
+        for j in range(rest + 1):
+            cell(i, j)
+    return cell(m, rest)
+
+
+@cache
+def _plain(m: int, rest: int) -> BivariatePolynomial:
+    # the coefficient itself; Pascal recursion of the plain split
+    if m == 0 or rest == 0:
+        return ONE
+    return lucas_F(rest + 1) * _plain(m - 1, rest) + T * lucas_F(m - 1) * _plain(
+        m, rest - 1
+    )
 
 
 @cache
@@ -49,40 +60,7 @@ def via_recursion_fib(n: int, k: int) -> BivariatePolynomial:
     """Pascal-style recursion seeded by the plain index-addition split."""
     if k < 0 or k > n:
         return ZERO
-    if k == 0 or k == n:
-        return ONE
-    if not getattr(_filling, "active", False):
-        _filling.active = True
-        try:
-            for key in _fib_keys_upward(n, k):
-                via_recursion_fib(*key)
-        finally:
-            _filling.active = False
-    m, rest = k, n - k
-    value = lucas_F(rest + 1) * via_recursion_fib(n - 1, k - 1) + T * lucas_F(
-        m - 1
-    ) * via_recursion_fib(n - 1, rest - 1)
-    _fib_done.add((n, k))
-    return value
-
-
-def _fib_keys_upward(n: int, k: int) -> list[tuple[int, int]]:
-    # the nontrivial keys via_recursion_fib(n, k) reaches below row n and has
-    # not yet memoized, lowest row first; empty when both children are
-    keys: list[tuple[int, int]] = []
-    row = {k}
-    for r in range(n, 1, -1):
-        row = {
-            j
-            for i in row
-            for j in (i - 1, r - i - 1)
-            if 0 < j < r - 1 and (r - 1, j) not in _fib_done
-        }
-        if not row:
-            break
-        keys.extend((r - 1, j) for j in sorted(row))
-    keys.reverse()
-    return keys
+    return _grid(_plain, k, n - k)
 
 
 @cache
@@ -97,10 +75,7 @@ def via_recursion_luc(n: int, k: int) -> BivariatePolynomial:
     """Companion-seeded recursion, rescaled back down from 2^n times."""
     if k < 0 or k > n:
         return ZERO
-    for m in range(k + 1):
-        for rest in range(n - k + 1):
-            _doubled(m, rest)
-    scaled = _doubled(k, n - k)
+    scaled = _grid(_doubled, k, n - k)
     scale = 1 << n
     terms = {}
     for a, b, c in scaled.terms():

@@ -106,6 +106,8 @@ def predicted_pair_count(m: int, n: int, flavor: str) -> int:
     count of paths to (x, h), an up step at column x weighs the number of
     row tilings of length x, and a right step at height h the number of
     column tilings of length h."""
+    if m < 0 or n < 0:
+        raise DomainError("rectangle dimensions must be nonnegative")
     row_kind, col_kind = _pair_kinds(flavor)
     cols = [_count(col_kind, h) for h in range(m + 1)]
     ways = [1] + [0] * m
@@ -155,18 +157,42 @@ def _gf_sum(m: int, n: int, flavor: str) -> BivariatePolynomial:
     return BivariatePolynomial(acc)
 
 
+def _check_budget(m: int, n: int, flavor: str, budget: int) -> None:
+    predicted = predicted_pair_count(m, n, flavor)
+    if predicted > budget:
+        raise ResourceError(
+            f"enumeration of ({m}, {n}) {flavor} predicts {predicted} tiling "
+            f"pairs, over the budget of {budget}; use gf mode"
+        )
+
+
+def _check_grid_budget(
+    m_max: int, n_max: int, flavor: str, mode: str, budget: int
+) -> None:
+    """Raise, before any case runs, the ResourceError that the first
+    over-budget case of a theorem grid would raise; cases run m first, then
+    n, then linear before circular.  An unknown flavor is left to the cases
+    to reject."""
+    if mode != "enumerate":
+        return
+    flavors = {
+        "linear": (LINEAR_PAIR,),
+        "circular": (CIRCULAR_PAIR,),
+        "both": (LINEAR_PAIR, CIRCULAR_PAIR),
+    }.get(flavor, ())
+    for m in range(m_max + 1):
+        for n in range(n_max + 1):
+            for pair_flavor in flavors:
+                _check_budget(m, n, pair_flavor, budget)
+
+
 def _rhs(m: int, n: int, flavor: str, mode: str, budget: int) -> BivariatePolynomial:
     if m < 0 or n < 0:
         raise DomainError("rectangle dimensions must be nonnegative")
     if mode == "gf":
         return _gf_sum(m, n, flavor)
     if mode == "enumerate":
-        predicted = predicted_pair_count(m, n, flavor)
-        if predicted > budget:
-            raise ResourceError(
-                f"enumeration of ({m}, {n}) {flavor} predicts {predicted} tiling "
-                f"pairs, over the budget of {budget}; use gf mode"
-            )
+        _check_budget(m, n, flavor, budget)
         acc: dict[tuple[int, int], int] = {}
         for _, pair in iter_pairs(m, n, flavor):
             a, b, c = pair.weight_exponents()
@@ -235,7 +261,9 @@ def verify_theorem(
     budget: int = PAIR_BUDGET,
 ) -> IdentityReport:
     """Check both interpretations on the whole (m, n) grid; failures are
-    recorded in the report, never raised."""
+    recorded in the report, never raised.  An enumerate-mode grid with a case
+    over the budget is refused before any case runs."""
+    _check_grid_budget(m_max, n_max, flavor, mode, budget)
     cases: list[CaseResult] = []
     for m in range(m_max + 1):
         for n in range(n_max + 1):

@@ -4,7 +4,12 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from lucasnomial import BivariatePolynomial, UnivariatePolynomial, lucas_F
+from lucasnomial import (
+    BivariatePolynomial,
+    UnivariatePolynomial,
+    interpretations,
+    lucas_F,
+)
 from lucasnomial.cli import main
 
 
@@ -184,6 +189,21 @@ def test_budget_exceeded_exits_3():
     )
     assert code == 3
     assert "budget" in err
+
+
+def test_over_budget_grid_is_refused_before_any_case(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a case ran before the grid's budget check")
+
+    monkeypatch.setattr(interpretations, "iter_pairs", refuse)
+    code, out, err = run(
+        "verify", "theorem", "--m-max", "9", "--n-max", "9", "--mode", "enumerate"
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: enumeration of (3, 8) circular_pair predicts 10444600 tiling "
+        "pairs, over the budget of 10000000; use gf mode\n"
+    )
 
 
 def test_specialize_fibonomial():

@@ -9,7 +9,6 @@ from lucasnomial import (
     via_recursion_fib,
     via_recursion_luc,
 )
-from lucasnomial.coefficients import _fib_keys_upward
 from lucasnomial.poly import ONE, S, ZERO
 
 
@@ -55,12 +54,10 @@ def test_recursion_fib_examples():
     assert via_recursion_fib(520, 519) == lucas_F(520)
 
 
-def test_recursion_fib_fill_stops_at_memoized_keys():
-    for k in range(31):
-        via_recursion_fib(30, k)
-    # both children of (31, k) are memoized, so there is nothing to fill
-    assert all(_fib_keys_upward(31, k) == [] for k in range(32))
-    assert _fib_keys_upward(32, 16) == [(31, 15)]
+def test_recursion_fib_refills_after_cache_clear():
+    assert via_recursion_fib(700, 699) == lucas_F(700)
+    via_recursion_fib.cache_clear()
+    assert via_recursion_fib(700, 699) == lucas_F(700)
 
 
 def test_recursion_luc_examples():

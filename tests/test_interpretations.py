@@ -203,6 +203,9 @@ def test_over_budget_refusal_enumerates_nothing(monkeypatch):
     for fn in (rhs_linear, rhs_circular):
         with pytest.raises(ResourceError):
             fn(15, 15, mode="enumerate")
+    # a grid is refused whole, before its smaller cases run
+    with pytest.raises(ResourceError):
+        verify_theorem(9, 9, mode="enumerate")
 
 
 def test_budget_refusal():
@@ -227,3 +230,6 @@ def test_bad_arguments():
         rhs_linear(1, 1, mode="guess")
     with pytest.raises(DomainError):
         theorem_cases(1, 1, flavor="spiral")
+    for m, n in ((-1, 3), (3, -1)):
+        with pytest.raises(DomainError):
+            predicted_pair_count(m, n, LINEAR_PAIR)
