@@ -15,11 +15,11 @@ from .coefficients import table, via_quotient, via_recursion_fib, via_recursion_
 from .errors import DomainError, ResourceError
 from .interpretations import (
     PAIR_BUDGET,
-    _check_grid_budget,
-    recursion_task_cases,
-    theorem_cases,
+    _lemma1_grid,
+    _recursion_grid,
+    _theorem_grid,
 )
-from .lucas import check_lemma1, lucas_F, lucas_L, lucas_factorial
+from .lucas import lucas_F, lucas_L, lucas_factorial
 from .partitions import iter_in_rect
 from .reports import IdentityReport
 from .specializations import FIBONOMIAL, QBINOMIAL, lnomial, specialize
@@ -166,37 +166,23 @@ def _cmd_partitions(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.kind == "lemma1":
-        m_max = 12 if args.m_max is None else args.m_max
-        n_max = 12 if args.n_max is None else args.n_max
-        tasks = [(m, n) for m in range(1, m_max + 1) for n in range(n_max + 1)]
-        runner = lambda mn: check_lemma1(*mn).cases
-        rng = f"1<=m<={m_max}, 0<=n<={n_max}"
-    elif args.kind == "recursions":
+    if args.kind == "recursions":
         # single triangle bound m+n <= N: the larger of the flags given, else 12
         given = [b for b in (args.m_max, args.n_max) if b is not None]
-        bound = max(given, default=12)
-        tasks = [
-            (m, n) for m in range(1, bound + 1) for n in range(bound - m + 1)
-        ]
-        runner = lambda mn: recursion_task_cases(*mn)
-        rng = f"m>=1, n>=0, m+n<={bound}"
+        rng, cases = _recursion_grid(max(given, default=12))
     else:
-        m_max = 5 if args.m_max is None else args.m_max
-        n_max = 5 if args.n_max is None else args.n_max
-        _check_grid_budget(m_max, n_max, args.flavor, args.mode, args.budget)
-        tasks = [(m, n) for m in range(m_max + 1) for n in range(n_max + 1)]
-        runner = lambda mn: theorem_cases(
-            mn[0], mn[1], args.flavor, args.mode, args.budget
-        )
-        rng = f"0<=m<={m_max}, 0<=n<={n_max}, flavor={args.flavor}, mode={args.mode}"
+        default = 12 if args.kind == "lemma1" else 5
+        bounds = [default if b is None else b for b in (args.m_max, args.n_max)]
+        if args.kind == "lemma1":
+            rng, cases = _lemma1_grid(*bounds)
+        else:
+            rng, cases = _theorem_grid(*bounds, args.flavor, args.mode, args.budget)
 
     collected = []
-    for cases in map(runner, tasks):
-        for case in cases:
-            if args.format == "text":
-                print(case.line())
-            collected.append(case)
+    for case in cases:
+        if args.format == "text":
+            print(case.line())
+        collected.append(case)
 
     report = IdentityReport(args.kind, rng, tuple(collected))
     if args.format == "json":

@@ -166,26 +166,6 @@ def _check_budget(m: int, n: int, flavor: str, budget: int) -> None:
         )
 
 
-def _check_grid_budget(
-    m_max: int, n_max: int, flavor: str, mode: str, budget: int
-) -> None:
-    """Raise, before any case runs, the ResourceError that the first
-    over-budget case of a theorem grid would raise; cases run m first, then
-    n, then linear before circular.  An unknown flavor is left to the cases
-    to reject."""
-    if mode != "enumerate":
-        return
-    flavors = {
-        "linear": (LINEAR_PAIR,),
-        "circular": (CIRCULAR_PAIR,),
-        "both": (LINEAR_PAIR, CIRCULAR_PAIR),
-    }.get(flavor, ())
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            for pair_flavor in flavors:
-                _check_budget(m, n, pair_flavor, budget)
-
-
 def _rhs(m: int, n: int, flavor: str, mode: str, budget: int) -> BivariatePolynomial:
     if m < 0 or n < 0:
         raise DomainError("rectangle dimensions must be nonnegative")
@@ -215,6 +195,20 @@ def rhs_circular(
     return _rhs(m, n, CIRCULAR_PAIR, mode, budget)
 
 
+# the pair flavors each flavor option checks, in case order
+_FLAVORS = {
+    "linear": (LINEAR_PAIR,),
+    "circular": (CIRCULAR_PAIR,),
+    "both": (LINEAR_PAIR, CIRCULAR_PAIR),
+}
+
+
+def _pair_flavors(flavor: str) -> tuple[str, ...]:
+    if flavor not in _FLAVORS:
+        raise DomainError(f"unknown flavor {flavor!r}")
+    return _FLAVORS[flavor]
+
+
 def theorem_cases(
     m: int,
     n: int,
@@ -223,34 +217,47 @@ def theorem_cases(
     budget: int = PAIR_BUDGET,
 ) -> list[CaseResult]:
     """Compare the tiling sums at one (m, n) against the quotient route."""
-    if flavor not in ("linear", "circular", "both"):
-        raise DomainError(f"unknown flavor {flavor!r}")
+    pair_flavors = _pair_flavors(flavor)
     expected = via_quotient(m + n, m)
     out = []
-    if flavor in ("linear", "both"):
-        rhs = rhs_linear(m, n, mode, budget)
+    for pair_flavor in pair_flavors:
+        if pair_flavor == LINEAR_PAIR:
+            name, lhs, rhs = "linear", expected, rhs_linear(m, n, mode, budget)
+        else:
+            name, lhs = "circular", expected * (1 << (m + n))
+            rhs = rhs_circular(m, n, mode, budget)
         out.append(
             CaseResult(
-                key=("linear", m, n),
-                label=f"theorem linear m={m} n={n} mode={mode}",
-                passed=expected == rhs,
-                lhs=expected,
-                rhs=rhs,
-            )
-        )
-    if flavor in ("circular", "both"):
-        rhs = rhs_circular(m, n, mode, budget)
-        doubled = expected * (1 << (m + n))
-        out.append(
-            CaseResult(
-                key=("circular", m, n),
-                label=f"theorem circular m={m} n={n} mode={mode}",
-                passed=doubled == rhs,
-                lhs=doubled,
+                key=(name, m, n),
+                label=f"theorem {name} m={m} n={n} mode={mode}",
+                passed=lhs == rhs,
+                lhs=lhs,
                 rhs=rhs,
             )
         )
     return out
+
+
+# A grid helper returns the grid's range text and a generator of its cases in
+# order, so that a caller can report each case as it finishes.
+
+
+def _check_bounds(*bounds: int) -> None:
+    if min(bounds) < 0:
+        raise DomainError("grid bounds must be nonnegative")
+
+
+def _theorem_grid(m_max: int, n_max: int, flavor: str, mode: str, budget: int):
+    """Cases run m first, then n, then linear before circular.  The first
+    over-budget case of an enumerate grid is refused before any case runs."""
+    pair_flavors = _pair_flavors(flavor)
+    _check_bounds(m_max, n_max)
+    grid = [(m, n) for m in range(m_max + 1) for n in range(n_max + 1)]
+    if mode == "enumerate":
+        for (m, n), pair_flavor in product(grid, pair_flavors):
+            _check_budget(m, n, pair_flavor, budget)
+    cases = (c for m, n in grid for c in theorem_cases(m, n, flavor, mode, budget))
+    return f"0<=m<={m_max}, 0<=n<={n_max}, flavor={flavor}, mode={mode}", cases
 
 
 def verify_theorem(
@@ -263,16 +270,8 @@ def verify_theorem(
     """Check both interpretations on the whole (m, n) grid; failures are
     recorded in the report, never raised.  An enumerate-mode grid with a case
     over the budget is refused before any case runs."""
-    _check_grid_budget(m_max, n_max, flavor, mode, budget)
-    cases: list[CaseResult] = []
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            cases.extend(theorem_cases(m, n, flavor, mode, budget))
-    return IdentityReport(
-        "theorem",
-        f"0<=m<={m_max}, 0<=n<={n_max}, flavor={flavor}, mode={mode}",
-        tuple(cases),
-    )
+    rng, cases = _theorem_grid(m_max, n_max, flavor, mode, budget)
+    return IdentityReport("theorem", rng, tuple(cases))
 
 
 def recursion_cases(m: int, n: int) -> list[CaseResult]:
@@ -314,13 +313,25 @@ def recursion_task_cases(m: int, n: int) -> list[CaseResult]:
     return out
 
 
+def _recursion_grid(total_max: int):
+    """The recursion and index-addition cases for every admissible (m, n)
+    with m + n <= total_max, m first."""
+    _check_bounds(total_max)
+    grid = [(m, n) for m in range(1, total_max + 1) for n in range(total_max - m + 1)]
+    cases = (c for m, n in grid for c in recursion_task_cases(m, n))
+    return f"m>=1, n>=0, m+n<={total_max}", cases
+
+
+def _lemma1_grid(m_max: int, n_max: int):
+    """The index-addition cases for 1 <= m <= m_max, 0 <= n <= n_max, m first."""
+    _check_bounds(m_max, n_max)
+    grid = [(m, n) for m in range(1, m_max + 1) for n in range(n_max + 1)]
+    cases = (c for m, n in grid for c in check_lemma1(m, n).cases)
+    return f"1<=m<={m_max}, 0<=n<={n_max}", cases
+
+
 def verify_recursions(total_max: int) -> IdentityReport:
     """Both coefficient splits plus the index-addition identities for every
     admissible (m, n) with m + n <= total_max."""
-    cases: list[CaseResult] = []
-    for m in range(1, total_max + 1):
-        for n in range(total_max - m + 1):
-            cases.extend(recursion_task_cases(m, n))
-    return IdentityReport(
-        "recursions", f"m>=1, n>=0, m+n<={total_max}", tuple(cases)
-    )
+    rng, cases = _recursion_grid(total_max)
+    return IdentityReport("recursions", rng, tuple(cases))

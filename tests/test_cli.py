@@ -6,6 +6,7 @@ import pytest
 
 from lucasnomial import (
     BivariatePolynomial,
+    DomainError,
     UnivariatePolynomial,
     interpretations,
     lucas_F,
@@ -166,8 +167,57 @@ def test_identical_invocations_identical_bytes():
     assert first == second
 
 
+_LEMMA1_LINES = [
+    f"PASS lemma1 {sum_} m={m} n={n}"
+    for m, n in ((1, 0), (1, 1), (2, 0), (2, 1))
+    for sum_ in ("F-sum", "2F-sum")
+]
+_RECURSION_LINES = [
+    f"PASS {case} m={m} n={n}"
+    for m, n in ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0))
+    for case in (
+        (("rec-fib", "rec-luc doubled") if n else ())
+        + ("lemma1 F-sum", "lemma1 2F-sum")
+    )
+]
+_THEOREM_LINES = [
+    f"PASS theorem circular m={m} n={n} mode=gf" for m in (0, 1) for n in (0, 1, 2)
+]
+_VERIFY_GOLDENS = {
+    ("lemma1", "--m-max", "2", "--n-max", "1"): _LEMMA1_LINES
+    + ["lemma1: 8 cases over 1<=m<=2, 0<=n<=1, 0 failed"],
+    ("lemma1", "--m-max", "2", "--n-max", "1", "--format", "json"): [
+        '{"identity": "lemma1", "parameter_range": "1<=m<=2, 0<=n<=1", '
+        '"cases_checked": 8, "passed": true, "failures": []}'
+    ],
+    ("recursions", "--m-max", "3"): _RECURSION_LINES
+    + ["recursions: 18 cases over m>=1, n>=0, m+n<=3, 0 failed"],
+    ("recursions", "--m-max", "3", "--format", "json"): [
+        '{"identity": "recursions", "parameter_range": "m>=1, n>=0, m+n<=3", '
+        '"cases_checked": 18, "passed": true, "failures": []}'
+    ],
+    ("theorem", "--m-max", "1", "--n-max", "2", "--flavor", "circular"): _THEOREM_LINES
+    + [
+        "theorem: 6 cases over 0<=m<=1, 0<=n<=2, flavor=circular, mode=gf, 0 failed"
+    ],
+    (
+        "theorem", "--m-max", "1", "--n-max", "2", "--flavor", "circular",
+        "--format", "json",
+    ): [
+        '{"identity": "theorem", "parameter_range": '
+        '"0<=m<=1, 0<=n<=2, flavor=circular, mode=gf", '
+        '"cases_checked": 6, "passed": true, "failures": []}'
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(_VERIFY_GOLDENS), ids=" ".join)
+def test_verify_golden_bytes(argv):
+    expected = "".join(line + "\n" for line in _VERIFY_GOLDENS[argv])
+    assert run("verify", *argv) == (0, expected, "")
+
+
 def test_verify_failure_exits_1(monkeypatch):
-    import lucasnomial.cli as cli_mod
     from lucasnomial.poly import ONE, S
     from lucasnomial.reports import CaseResult, IdentityReport
 
@@ -175,11 +225,46 @@ def test_verify_failure_exits_1(monkeypatch):
         case = CaseResult(("lemma1-F", m, n), f"lemma1 F-sum m={m} n={n}", False, S, ONE)
         return IdentityReport("lemma1", f"m={m}, n={n}", (case,))
 
-    monkeypatch.setattr(cli_mod, "check_lemma1", broken)
+    monkeypatch.setattr(interpretations, "check_lemma1", broken)
     code, out, _ = run("verify", "lemma1", "--m-max", "1", "--n-max", "0")
     assert code == 1
     assert out.splitlines()[0] == "FAIL lemma1 F-sum m=1 n=0"
     assert out.splitlines()[-1].endswith("1 failed")
+
+
+def test_verify_theorem_failure_exits_1(monkeypatch):
+    from lucasnomial.poly import S
+
+    monkeypatch.setattr(interpretations, "via_quotient", lambda n, k: S)
+    code, out, _ = run("verify", "theorem", "--m-max", "0", "--n-max", "1")
+    assert code == 1
+    assert out == (
+        "FAIL theorem linear m=0 n=0 mode=gf\n"
+        "FAIL theorem circular m=0 n=0 mode=gf\n"
+        "FAIL theorem linear m=0 n=1 mode=gf\n"
+        "FAIL theorem circular m=0 n=1 mode=gf\n"
+        "theorem: 4 cases over 0<=m<=0, 0<=n<=1, flavor=both, mode=gf, 4 failed\n"
+    )
+    code, out, _ = run(
+        "verify", "theorem", "--m-max", "0", "--n-max", "1", "--format", "json"
+    )
+    assert code == 1
+    assert len(json.loads(out)["failures"]) == 4
+
+
+def test_verify_prints_each_case_as_it_finishes(monkeypatch):
+    check_lemma1 = interpretations.check_lemma1
+
+    def stop_at_second_cell(m, n):
+        if (m, n) == (1, 1):
+            raise DomainError("stopped after the first cell")
+        return check_lemma1(m, n)
+
+    monkeypatch.setattr(interpretations, "check_lemma1", stop_at_second_cell)
+    code, out, err = run("verify", "lemma1", "--m-max", "1", "--n-max", "1")
+    assert code == 2
+    assert out == "PASS lemma1 F-sum m=1 n=0\nPASS lemma1 2F-sum m=1 n=0\n"
+    assert err == "error: stopped after the first cell\n"
 
 
 def test_budget_exceeded_exits_3():

@@ -233,3 +233,11 @@ def test_bad_arguments():
     for m, n in ((-1, 3), (3, -1)):
         with pytest.raises(DomainError):
             predicted_pair_count(m, n, LINEAR_PAIR)
+        with pytest.raises(DomainError):
+            verify_theorem(m, n)
+        with pytest.raises(DomainError):
+            verify_theorem(m, n, mode="enumerate")
+    with pytest.raises(DomainError):
+        verify_recursions(-5)
+    with pytest.raises(DomainError):
+        verify_theorem(1, 1, flavor="spiral")
