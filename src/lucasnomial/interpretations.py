@@ -36,7 +36,7 @@ from .coefficients import via_quotient
 from .errors import DomainError, ResourceError
 from .lucas import check_lemma1, lucas_F, lucas_L
 from .partitions import enumerate_in_rect
-from .poly import BivariatePolynomial, ONE, T, _power
+from .poly import BivariatePolynomial, ONE, T, ZERO, _power
 from .reports import CaseResult, IdentityReport
 from .tilings import (
     CIRCULAR,
@@ -137,7 +137,7 @@ def _gf_sum(m: int, n: int, flavor: str) -> BivariatePolynomial:
     rights = [gf(col_kind, h) for h in range(m + 1)]
     # the forced tails: right steps at height m, up steps at column n
     right_tail, up_tail = [ONE], [ONE]
-    acc: dict[tuple[int, int], int] = {}
+    acc = ZERO
     stack = [(0, 0, ONE)]
     while stack:
         x, h, prefix = stack.pop()
@@ -148,13 +148,12 @@ def _gf_sum(m: int, n: int, flavor: str) -> BivariatePolynomial:
                 else _power(ups[n], m - h, up_tail)
             )
             if tail:
-                for key, c in (prefix * tail)._terms.items():
-                    acc[key] = acc.get(key, 0) + c
+                acc = acc + prefix * tail
             continue
         if rights[h]:
             stack.append((x + 1, h, prefix * rights[h]))
         stack.append((x, h + 1, prefix * ups[x]))
-    return BivariatePolynomial(acc)
+    return acc
 
 
 def _check_budget(m: int, n: int, flavor: str, budget: int) -> None:
@@ -247,6 +246,12 @@ def _check_bounds(*bounds: int) -> None:
         raise DomainError("grid bounds must be nonnegative")
 
 
+def _check_nonempty(grid: list, rng: str) -> None:
+    # a grid that checks nothing must not report success
+    if not grid:
+        raise DomainError(f"the grid {rng} has no cases")
+
+
 def _theorem_grid(m_max: int, n_max: int, flavor: str, mode: str, budget: int):
     """Cases run m first, then n, then linear before circular.  The first
     over-budget case of an enumerate grid is refused before any case runs."""
@@ -304,13 +309,12 @@ def recursion_cases(m: int, n: int) -> list[CaseResult]:
 
 
 def recursion_task_cases(m: int, n: int) -> list[CaseResult]:
-    """All recursion and index-addition cases at one (m, n)."""
-    out = []
-    if m >= 1 and n >= 1:
-        out.extend(recursion_cases(m, n))
-    if m >= 1 and n >= 0:
-        out.extend(check_lemma1(m, n).cases)
-    return out
+    """All recursion and index-addition cases at one (m, n) with m >= 1 and
+    n >= 0; the coefficient splits join in once n >= 1."""
+    if m < 1 or n < 0:
+        raise DomainError("the recursion cases need m >= 1 and n >= 0")
+    out = recursion_cases(m, n) if n >= 1 else []
+    return out + list(check_lemma1(m, n).cases)
 
 
 def _recursion_grid(total_max: int):
@@ -318,16 +322,18 @@ def _recursion_grid(total_max: int):
     with m + n <= total_max, m first."""
     _check_bounds(total_max)
     grid = [(m, n) for m in range(1, total_max + 1) for n in range(total_max - m + 1)]
-    cases = (c for m, n in grid for c in recursion_task_cases(m, n))
-    return f"m>=1, n>=0, m+n<={total_max}", cases
+    rng = f"m>=1, n>=0, m+n<={total_max}"
+    _check_nonempty(grid, rng)
+    return rng, (c for m, n in grid for c in recursion_task_cases(m, n))
 
 
 def _lemma1_grid(m_max: int, n_max: int):
     """The index-addition cases for 1 <= m <= m_max, 0 <= n <= n_max, m first."""
     _check_bounds(m_max, n_max)
     grid = [(m, n) for m in range(1, m_max + 1) for n in range(n_max + 1)]
-    cases = (c for m, n in grid for c in check_lemma1(m, n).cases)
-    return f"1<=m<={m_max}, 0<=n<={n_max}", cases
+    rng = f"1<=m<={m_max}, 0<=n<={n_max}"
+    _check_nonempty(grid, rng)
+    return rng, (c for m, n in grid for c in check_lemma1(m, n).cases)
 
 
 def verify_recursions(total_max: int) -> IdentityReport:

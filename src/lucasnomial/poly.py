@@ -1,14 +1,12 @@
-"""Exact sparse polynomial arithmetic in the variables s and t.
+"""Exact dense polynomial arithmetic in the variables s and t.
 
-A BivariatePolynomial maps exponent pairs (a, b) -- the powers of s and t --
-to nonzero Python integers, so every operation is exact at any coefficient
-size.  The canonical term order, descending in a and then in b, is also the
-lexicographic order with s > t under which exact division cancels leading
-terms; all divisors produced by factorial quotients are monic in that order,
-so division never leaves the integers.
-
+With s of weight 1 and t of weight 2, every polynomial the package builds is
+weight-homogeneous.  So a BivariatePolynomial keeps each grade w = a + 2b of
+its terms s^a*t^b as one dense run of integer coefficients indexed by b,
+{w: (b0, [c_b0, c_b0+1, ...])}, with no zero at either end of a run: a
+product is one convolution per pair of grades, a sum adds aligned runs.
 UnivariatePolynomial, the target of substitutions such as s -> q + 1,
-t -> -q, is the same sparse polynomial in s alone, rendered in q.
+t -> -q, is the same polynomial in s alone, rendered in q.
 """
 
 from __future__ import annotations
@@ -18,36 +16,32 @@ from collections.abc import Iterable, Mapping
 
 from .errors import IndivisibleError
 
-# (s-exponent, t-exponent) -> coefficient
 TermMap = Mapping[tuple[int, int], int]
 
 
 class BivariatePolynomial:
     """Immutable polynomial in s and t over arbitrary-precision integers."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_runs",)
 
     def __init__(self, terms: TermMap | Iterable[tuple[tuple[int, int], int]] = ()):
-        data: dict[tuple[int, int], int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for (a, b), c in items:
+        self._runs: dict[int, tuple[int, list[int]]] = {}
+        for (a, b), c in terms.items() if isinstance(terms, Mapping) else terms:
             if a < 0 or b < 0:
                 raise ValueError(f"negative exponent in term ({a}, {b})")
-            if not c:
-                continue
-            total = data.get((a, b), 0) + c
-            if total:
-                data[(a, b)] = total
-            else:
-                del data[(a, b)]
-        self._terms = data
+            if c:
+                _add_run(self._runs, *self._encode(a, b), [c])
 
     @classmethod
-    def _from_terms(cls, terms: dict[tuple[int, int], int]):
-        # an already-reduced term map becomes the polynomial, unchecked
+    def _from_runs(cls, runs: dict[int, tuple[int, list[int]]]):
+        # already-trimmed runs become the polynomial, unchecked
         result = object.__new__(cls)
-        result._terms = terms
+        result._runs = runs
         return result
+
+    # s^a*t^b sits at index b of grade a + 2b, and back
+    _encode = staticmethod(lambda a, b: (a + 2 * b, b))
+    _decode = staticmethod(lambda w, i: (w - 2 * i, i))
 
     # -- constructors ------------------------------------------------------
 
@@ -61,7 +55,8 @@ class BivariatePolynomial:
 
     @classmethod
     def const(cls, c: int):
-        return cls._from_terms({(0, 0): c} if c else {})
+        # both index maps put the constant term at index 0 of grade 0
+        return cls._from_runs({0: (0, [c])} if c else {})
 
     @classmethod
     def monomial(cls, a: int, b: int, c: int = 1) -> BivariatePolynomial:
@@ -70,36 +65,40 @@ class BivariatePolynomial:
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._runs
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._runs)
+
+    def _items(self):
+        # every nonzero term as (a, b, coefficient), in layout order
+        for w, (i0, run) in self._runs.items():
+            yield from ((*self._decode(w, i), c) for i, c in enumerate(run, i0) if c)
 
     def terms(self) -> list[tuple[int, int, int]]:
         """All terms as (a, b, coefficient), in canonical order."""
-        return [(a, b, c) for (a, b), c in sorted(self._terms.items(), reverse=True)]
+        return sorted(self._items(), reverse=True)
 
     def coefficient(self, a: int, b: int) -> int:
-        return self._terms.get((a, b), 0)
+        w, i = self._encode(a, b)
+        i0, run = self._runs.get(w, (0, ()))
+        return run[i - i0] if 0 <= i - i0 < len(run) else 0
 
     def leading(self) -> tuple[int, int, int]:
         """Leading term under the lexicographic order with s > t."""
-        if not self._terms:
+        if not self._runs:
             raise ValueError("the zero polynomial has no leading term")
-        a, b = max(self._terms)
-        return a, b, self._terms[(a, b)]
+        return max(self._items())
 
     def __eq__(self, other: object) -> bool:
         other = _as_poly(self, other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._terms == other._terms
+        return NotImplemented if other is NotImplemented else self._runs == other._runs
 
     def __hash__(self) -> int:
         # a constant hashes as its integer, which it also equals
-        if self._terms.keys() <= {(0, 0)}:
-            return hash(self._terms.get((0, 0), 0))
-        return hash(frozenset(self._terms.items()))
+        c = self.coefficient(0, 0)
+        runs = frozenset((w, i0, *run) for w, (i0, run) in self._runs.items())
+        return hash(c) if self == c else hash(runs)
 
     # -- ring operations ---------------------------------------------------
     # Results keep the class of self; the other operand must share it or be
@@ -109,57 +108,40 @@ class BivariatePolynomial:
         other = _as_poly(self, other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            total = out.get(key, 0) + c
-            if total:
-                out[key] = total
-            else:
-                del out[key]
-        return self._from_terms(out)
+        runs = dict(self._runs)
+        for w, (i0, run) in other._runs.items():
+            _add_run(runs, w, i0, run)
+        return self._from_runs(runs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._from_terms({key: -c for key, c in self._terms.items()})
+        return self * -1
 
     def __sub__(self, other):
         other = _as_poly(self, other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         other = _as_poly(self, other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return self._from_terms({})
-            return self._from_terms({key: c * other for key, c in self._terms.items()})
-        if type(other) is not type(self):
+        other = _as_poly(self, other)
+        if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                key = (a1 + a2, b1 + b2)
-                total = out.get(key, 0) + c1 * c2
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
-        return self._from_terms(out)
+        runs: dict[int, tuple[int, list[int]]] = {}
+        for w1, (i1, run1) in self._runs.items():
+            for w2, (i2, run2) in other._runs.items():
+                _add_run(runs, w1 + w2, i1 + i2, _convolve(run1, run2))
+        return self._from_runs(runs)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        base = self
-        acc = self.one()
+        base, acc = self, self.one()
         while exponent:
             if exponent & 1:
                 acc = acc * base
@@ -170,60 +152,61 @@ class BivariatePolynomial:
     def exact_div(self, divisor):
         """Exact quotient self / divisor; raises IndivisibleError if inexact.
 
-        Repeatedly cancels the leading term of the running remainder against
-        the leading term of the divisor (lexicographic order, s > t).
+        Long division by grades from the top.  The remainder's top run is
+        divided by the divisor's top run from the low-index end (the s-power
+        end, where every Lucas factorial is monic): the quotient run's length
+        is fixed, and it is exact only if each step divides and nothing is
+        left.  The quotient run times the divisor's lower grades is then taken
+        off the remainder's lower grades, so every step drops the top grade.
         """
         if type(divisor) is not type(self):
             raise TypeError("exact_div needs a divisor of the same class")
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        da, db, dc = divisor.leading()
-        dterms = list(divisor._terms.items())
-        rem = dict(self._terms)
-        quot: dict[tuple[int, int], int] = {}
+        top = max(divisor._runs)
+        d0, drun = divisor._runs[top]
+        n = len(drun)
+        lower = self._from_runs({w: r for w, r in divisor._runs.items() if w != top})
+        rem, quot = dict(self._runs), {}
         while rem:
-            ra, rb = max(rem)
-            rc = rem[(ra, rb)]
-            ea, eb = ra - da, rb - db
-            if ea < 0 or eb < 0 or rc % dc:
+            i0, run = rem.pop(w := max(rem))
+            run, qrun, size = list(run), [], len(run) - n + 1
+            for i in range(size):
+                q, r = divmod(run[i], drun[0])
+                if r:
+                    break
+                run[i : i + n] = [x - q * y for x, y in zip(run[i : i + n], drun)]
+                qrun.append(q)
+            qw, q0 = w - top, i0 - d0
+            # a quotient term with a negative exponent is no polynomial either
+            ends = self._decode(qw, q0) + self._decode(qw, q0 + size - 1)
+            if any(run) or min(ends) < 0:
                 raise IndivisibleError(
                     f"{self.canonical_text()!r} is not exactly divisible by "
                     f"{divisor.canonical_text()!r}"
                 )
-            qc = rc // dc
-            quot[(ea, eb)] = qc
-            for (xa, xb), xc in dterms:
-                key = (xa + ea, xb + eb)
-                total = rem.get(key, 0) - qc * xc
-                if total:
-                    rem[key] = total
-                else:
-                    rem.pop(key, None)
-        return self._from_terms(quot)
+            quot[qw] = (q0, qrun)
+            if lower:
+                part = lower * self._from_runs({qw: (q0, qrun)})
+                rem = (self._from_runs(rem) - part)._runs
+        return self._from_runs(quot)
 
     # -- evaluation and substitution ----------------------------------------
 
     def eval_int(self, s0: int, t0: int) -> int:
         """Exact integer value at s = s0, t = t0."""
-        total = 0
         # each power occurring is computed once, however sparse the exponents
-        spow: dict[int, int] = {}
-        tpow: dict[int, int] = {}
-        for (a, b), c in self._terms.items():
-            if a not in spow:
-                spow[a] = s0**a
-            if b not in tpow:
-                tpow[b] = t0**b
-            total += c * spow[a] * tpow[b]
-        return total
+        terms = list(self._items())
+        spow = {a: s0**a for a in {a for a, _, _ in terms}}
+        tpow = {b: t0**b for b in {b for _, b, _ in terms}}
+        return sum(c * spow[a] * tpow[b] for a, b, c in terms)
 
     def subst_univar(
         self, s_sub: UnivariatePolynomial, t_sub: UnivariatePolynomial
     ) -> UnivariatePolynomial:
         """Expand self(s_sub(q), t_sub(q)) exactly."""
         total = UnivariatePolynomial.zero()
-        spow = [UnivariatePolynomial.one()]
-        tpow = [UnivariatePolynomial.one()]
+        spow, tpow = [UnivariatePolynomial.one()], [UnivariatePolynomial.one()]
         for a, b, c in self.terms():
             term = _power(s_sub, a, spow) * _power(t_sub, b, tpow)
             total = total + term * c
@@ -255,17 +238,11 @@ class BivariatePolynomial:
         if not src:
             raise ValueError("empty polynomial text")
         negate_first = src.startswith("-")
-        if negate_first:
-            src = src[1:].lstrip()
-        chunks = re.split(r"\s+([+-])\s+", src)
-        terms: list[tuple[tuple[int, int], int]] = []
-        sign = -1 if negate_first else 1
-        for i in range(0, len(chunks), 2):
-            (a, b), c = _parse_term(chunks[i])
-            terms.append(((a, b), sign * c))
-            if i + 1 < len(chunks):
-                sign = -1 if chunks[i + 1] == "-" else 1
-        return BivariatePolynomial(terms)
+        chunks = re.split(r"\s+([+-])\s+", src[1:].lstrip() if negate_first else src)
+        signs = ["-" if negate_first else "+"] + chunks[1::2]
+        return BivariatePolynomial(
+            _parse_term(chunk, sign == "-") for chunk, sign in zip(chunks[::2], signs)
+        )
 
     def to_json_dict(self) -> dict:
         """The documented JSON form: terms as [a, b, coefficient-string]."""
@@ -274,6 +251,39 @@ class BivariatePolynomial:
     @classmethod
     def from_json_dict(cls, doc: dict) -> BivariatePolynomial:
         return cls({(int(a), int(b)): int(c) for a, b, c in doc["terms"]})
+
+
+def _add_run(runs: dict, w: int, i0: int, run: list[int]) -> None:
+    """Add run, starting at index i0, into grade w of runs, trimming zero ends.
+    A run stored whole is shared, not copied: runs are never mutated."""
+    if w in runs:
+        j0, old = runs[w]
+        lo = min(i0, j0)
+        out = [0] * (max(i0 + len(run), j0 + len(old)) - lo)
+        for k, add in ((j0 - lo, old), (i0 - lo, run)):
+            out[k : k + len(add)] = [x + y for x, y in zip(out[k : k + len(add)], add)]
+        i0, run = lo, out
+    start, stop = 0, len(run)
+    while start < stop and not run[start]:
+        start += 1
+    while stop > start and not run[stop - 1]:
+        stop -= 1
+    if start == stop:
+        runs.pop(w, None)
+    else:
+        runs[w] = (i0 + start, run if stop - start == len(run) else run[start:stop])
+
+
+def _convolve(x: list[int], y: list[int]) -> list[int]:
+    """The product of two runs: each entry of the shorter one adds a scaled
+    copy of the longer one into the output."""
+    x, y = sorted((x, y), key=len)
+    n = len(y)
+    out = [0] * (len(x) + n - 1)
+    for i, c in enumerate(x):
+        if c:
+            out[i : i + n] = [o + c * v for o, v in zip(out[i : i + n], y)]
+    return out
 
 
 def _render_terms(terms, latex: bool) -> str:
@@ -292,38 +302,26 @@ def _render_terms(terms, latex: bool) -> str:
                 names.append(var)
             elif power:
                 names.append(f"{var}^{{{power}}}" if latex else f"{var}^{power}")
-        body = times.join(names) or "1"
-        if out:
-            out += (" - " if c < 0 else " + ") + body
-        else:
-            out = ("-" if c < 0 else "") + body
+        out += (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+        out += times.join(names) or "1"
     return out or "0"
 
 
-_TERM_FACTOR = re.compile(r"^(\d+|s(\^\d+)?|t(\^\d+)?)$")
+_TERM_FACTOR = re.compile(r"(\d+)|([st])(?:\^(\d+))?")
 
 
-def _parse_term(chunk: str) -> tuple[tuple[int, int], int]:
-    coeff = 1
-    a = b = 0
-    seen: set[str] = set()
+def _parse_term(chunk: str, negate: bool) -> tuple[tuple[int, int], int]:
+    found: dict[str, int] = {}  # "c", "s" or "t" -> its value or power
     for factor in chunk.split("*"):
-        factor = factor.strip()
-        if not _TERM_FACTOR.match(factor):
+        match = _TERM_FACTOR.fullmatch(factor.strip())
+        if not match:
             raise ValueError(f"malformed term {chunk!r}")
-        kind = "c" if factor[0].isdigit() else factor[0]
-        if kind in seen:
+        digits, var, power = match.groups()
+        if (var or "c") in found:
             raise ValueError(f"repeated factor in term {chunk!r}")
-        seen.add(kind)
-        if kind == "c":
-            coeff = int(factor)
-        else:
-            power = int(factor[2:]) if "^" in factor else 1
-            if kind == "s":
-                a = power
-            else:
-                b = power
-    return (a, b), coeff
+        found[var or "c"] = int(digits or power or 1)
+    c = found.get("c", 1)
+    return (found.get("s", 0), found.get("t", 0)), -c if negate else c
 
 
 def _as_poly(like: BivariatePolynomial, value: object):
@@ -331,9 +329,7 @@ def _as_poly(like: BivariatePolynomial, value: object):
     any other value (the other polynomial class too) gives NotImplemented."""
     if type(value) is type(like):
         return value
-    if isinstance(value, int):
-        return like.const(value)
-    return NotImplemented
+    return like.const(value) if isinstance(value, int) else NotImplemented
 
 
 def _power(base, exponent: int, powers: list):
@@ -347,35 +343,39 @@ def _power(base, exponent: int, powers: list):
 class UnivariatePolynomial(BivariatePolynomial):
     """Immutable polynomial in one variable, q by convention.
 
-    It is a BivariatePolynomial in s alone: q^p is stored as s^p, so every
-    ring operation is inherited, and leading-term division with no t power
-    is univariate long division.  It is rendered in q and never mixes with
-    BivariatePolynomial: such arithmetic raises TypeError, and the two
-    classes never compare equal.
+    It is a BivariatePolynomial in s alone, rendered in q, so every ring
+    operation is inherited.  It never mixes with BivariatePolynomial: such
+    arithmetic raises TypeError, and the two classes never compare equal.
     """
 
     __slots__ = ()
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        self._terms = {(p, 0): c for p, c in enumerate(coeffs) if c}
+        self._runs = {}
+        _add_run(self._runs, 0, 0, list(coeffs))
+
+    # s^p (that is, q^p) sits at index p of grade 0: the grade is the t-power
+    _encode = staticmethod(lambda a, b: (b, a))
+    _decode = staticmethod(lambda w, i: (i, w))
 
     @classmethod
     def monomial(cls, power: int, c: int = 1) -> UnivariatePolynomial:
         if power < 0:
             raise ValueError("power must be nonnegative")
-        return cls._from_terms({(power, 0): c} if c else {})
+        return cls._from_runs({0: (power, [c])} if c else {})
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Coefficients indexed by exponent; empty for the zero polynomial."""
-        return tuple(self.coeff_at(p) for p in range(self.degree + 1))
+        i0, run = self._runs.get(0, (0, []))
+        return (0,) * i0 + tuple(run)
 
     @property
     def degree(self) -> int:
-        return max(self._terms)[0] if self._terms else -1
+        return len(self.coeffs) - 1
 
     def coeff_at(self, i: int) -> int:
-        return self._terms.get((i, 0), 0)
+        return self.coefficient(i, 0)
 
     def eval_at(self, x: int) -> int:
         return self.eval_int(x, 0)

@@ -267,6 +267,18 @@ def test_verify_prints_each_case_as_it_finishes(monkeypatch):
     assert err == "error: stopped after the first cell\n"
 
 
+def test_empty_verify_grids_are_refused():
+    # a grid with no cases would otherwise report "0 failed" and exit 0
+    for args, rng in (
+        (("lemma1", "--m-max", "0"), "1<=m<=0, 0<=n<=12"),
+        (("recursions", "--m-max", "0"), "m>=1, n>=0, m+n<=0"),
+    ):
+        for fmt in ("text", "json"):
+            code, out, err = run("verify", *args, "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err == f"error: the grid {rng} has no cases\n"
+
+
 def test_budget_exceeded_exits_3():
     code, _, err = run(
         "verify", "theorem", "--m-max", "2", "--n-max", "2",

@@ -25,7 +25,11 @@ from lucasnomial import (
     via_quotient,
 )
 from lucasnomial import interpretations
-from lucasnomial.interpretations import recursion_cases, theorem_cases
+from lucasnomial.interpretations import (
+    recursion_cases,
+    recursion_task_cases,
+    theorem_cases,
+)
 from lucasnomial.poly import ONE, S
 
 FLAVOR_KINDS = {LINEAR_PAIR: (LINEAR, LINEAR_NOLEAD), CIRCULAR_PAIR: (CIRCULAR, CIRCULAR)}
@@ -237,7 +241,11 @@ def test_bad_arguments():
             verify_theorem(m, n)
         with pytest.raises(DomainError):
             verify_theorem(m, n, mode="enumerate")
-    with pytest.raises(DomainError):
-        verify_recursions(-5)
+    for bound in (-5, 0):
+        with pytest.raises(DomainError):
+            verify_recursions(bound)
+    for m, n in ((1, -1), (0, 3)):
+        with pytest.raises(DomainError):
+            recursion_task_cases(m, n)
     with pytest.raises(DomainError):
         verify_theorem(1, 1, flavor="spiral")

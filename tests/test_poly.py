@@ -67,8 +67,11 @@ def test_exact_div_factorial_quotient():
 
 
 def test_exact_div_degree_obstruction():
-    with pytest.raises(IndivisibleError):
-        (S + T).exact_div(S * T)
+    # a too-high divisor, a quotient term with a negative exponent, and a
+    # quotient coefficient that is no integer
+    for dividend, divisor in ((S + T, S * T), (T, S), (3 * S, 2 * S)):
+        with pytest.raises(IndivisibleError):
+            dividend.exact_div(divisor)
 
 
 def test_exact_div_by_zero():
@@ -278,3 +281,90 @@ def test_univariate_inherited_accessors_see_q_as_s():
     assert u.eval_int(3, 0) == u.eval_at(3) == -5
     parsed = UnivariatePolynomial.parse("s^2")
     assert type(parsed) is BivariatePolynomial and parsed == S * S
+
+
+# A term-by-term reference for the ring's two hard operations, built only on
+# terms(), so it shares nothing with the coefficient-run layout.
+
+
+def term_dict(p) -> dict[tuple[int, int], int]:
+    return {(a, b): c for a, b, c in p.terms()}
+
+
+def reference_mul(p, q) -> dict[tuple[int, int], int]:
+    out: dict[tuple[int, int], int] = {}
+    for a1, b1, c1 in p.terms():
+        for a2, b2, c2 in q.terms():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def reference_div(p, d) -> dict[tuple[int, int], int] | None:
+    """Leading-term division, lexicographic with s > t (for the univariate
+    class: from the top degree); None if p is not an exact multiple of d."""
+    da, db, dc = d.terms()[0]
+    rem, quot = term_dict(p), {}
+    while rem:
+        ra, rb = max(rem)
+        ea, eb, (qc, r) = ra - da, rb - db, divmod(rem[(ra, rb)], dc)
+        if ea < 0 or eb < 0 or r:
+            return None
+        quot[(ea, eb)] = qc
+        for xa, xb, xc in d.terms():
+            key = (xa + ea, xb + eb)
+            rem[key] = rem.get(key, 0) - qc * xc
+            if not rem[key]:
+                del rem[key]
+    return quot
+
+
+@st.composite
+def homogeneous_polys(draw, max_weight: int = 60):
+    """A polynomial of one weight a + 2b, with t-powers b drawn sparsely."""
+    w = draw(st.integers(0, max_weight))
+    cs = draw(st.dictionaries(st.integers(0, w // 2), st.integers(-10**12, 10**12)))
+    return BivariatePolynomial({(w - 2 * b, b): c for b, c in cs.items()})
+
+
+wide_bivariate_polys = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)), coeffs, max_size=8
+).map(BivariatePolynomial)
+shifted_univariate_polys = st.builds(
+    lambda u, shift: u * UnivariatePolynomial.monomial(shift),
+    univariate_polys,
+    st.integers(0, 40),
+)
+# same-class operand pairs: homogeneous (the package's own traffic),
+# mixed-grade, and univariate
+operand_pairs = st.one_of(
+    st.tuples(homogeneous_polys(), homogeneous_polys()),
+    st.tuples(wide_bivariate_polys, wide_bivariate_polys),
+    st.tuples(shifted_univariate_polys, shifted_univariate_polys),
+)
+
+
+@given(operand_pairs)
+def test_mul_matches_term_reference(pair):
+    p, q = pair
+    assert term_dict(p * q) == reference_mul(p, q)
+
+
+@given(operand_pairs)
+def test_exact_div_of_a_product_matches_term_reference(pair):
+    q, d = pair
+    if d:
+        assert term_dict((q * d).exact_div(d)) == reference_div(q * d, d) == term_dict(q)
+
+
+@given(operand_pairs)
+def test_exact_div_refuses_exactly_where_the_reference_does(pair):
+    p, d = pair
+    if not d:
+        return
+    expected = reference_div(p, d)
+    if expected is None:
+        with pytest.raises(IndivisibleError):
+            p.exact_div(d)
+    else:
+        assert term_dict(p.exact_div(d)) == expected
