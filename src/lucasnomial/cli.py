@@ -2,13 +2,14 @@
 
 All subcommands are deterministic: identical invocations produce identical
 bytes.  Exit codes: 0 success or verified, 1 verification failure, 2 usage
-error, 3 enumeration budget exceeded.
+error, 3 enumeration or listing budget exceeded, 141 stdout closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .coefficients import table, via_quotient, via_recursion_fib, via_recursion_luc
@@ -20,10 +21,10 @@ from .interpretations import (
     _theorem_grid,
 )
 from .lucas import lucas_F, lucas_L, lucas_factorial
-from .partitions import iter_in_rect
+from .partitions import _count_in_rect, iter_in_rect
 from .reports import IdentityReport
 from .specializations import FIBONOMIAL, QBINOMIAL, lnomial, specialize
-from .tilings import CIRCULAR, LINEAR, LINEAR_NOLEAD, iter_tilings
+from .tilings import CIRCULAR, LINEAR, LINEAR_NOLEAD, _count, iter_tilings
 
 _TILING_KINDS = {"linear": LINEAR, "nolead": LINEAR_NOLEAD, "circular": CIRCULAR}
 _METHODS = {
@@ -147,8 +148,20 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _check_listing(count: int, what: str) -> None:
+    # refused before the first line; the listings share the pair budget, and
+    # the count is capped there, so a huge size is refused in a few steps
+    if count > PAIR_BUDGET:
+        raise ResourceError(
+            f"{what} would list more than {PAIR_BUDGET} lines, the listing budget"
+        )
+
+
 def _cmd_tilings(args) -> int:
-    for tiling in iter_tilings(_TILING_KINDS[args.kind], args.n):
+    kind = _TILING_KINDS[args.kind]
+    count = _count(kind, args.n, PAIR_BUDGET)
+    _check_listing(count, f"tilings {args.kind} {args.n}")
+    for tiling in iter_tilings(kind, args.n):
         line = tiling.text()
         if args.weights:
             line += "\t" + tiling.weight().canonical_text()
@@ -157,6 +170,8 @@ def _cmd_tilings(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
+    count = _count_in_rect(args.m, args.n, PAIR_BUDGET)
+    _check_listing(count, f"partitions {args.m} {args.n}")
     for part in iter_in_rect(args.m, args.n):
         line = part.text()
         if args.complement:
@@ -211,7 +226,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: exit like a
+        # SIGPIPE death, and let the flush at shutdown write to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

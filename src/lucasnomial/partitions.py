@@ -42,11 +42,15 @@ class Partition:
 
         Lives in the transposed rectangle: n parts, each at most m.
         """
-        m, n = self.rows, self.cols
-        comp = tuple(
-            m - sum(1 for p in self.parts if p >= n + 1 - j) for j in range(1, n + 1)
-        )
-        return Partition(comp, m)
+        parts, m = self.parts, self.rows
+        # one walk: as the column threshold c falls from n to 1, `above`
+        # only grows, counting the parts that reach column c
+        comp, above = [], 0
+        for c in range(self.cols, 0, -1):
+            while above < m and parts[above] >= c:
+                above += 1
+            comp.append(m - above)
+        return Partition(tuple(comp), m)
 
     def text(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
@@ -74,6 +78,17 @@ def iter_in_rect(m: int, n: int):
         raise DomainError("rectangle dimensions must be nonnegative")
     for parts in _part_tuples(m, n):
         yield Partition(parts, n)
+
+
+def _count_in_rect(m: int, n: int, cap: int) -> int:
+    """binomial(m + n, m), the length of iter_in_rect(m, n), built one factor
+    at a time; it stops once it passes cap and returns some value above it."""
+    count, big = 1, max(m, n)
+    for i in range(1, min(m, n) + 1):
+        count = count * (big + i) // i
+        if count > cap:
+            break
+    return count
 
 
 def enumerate_in_rect(m: int, n: int) -> list[Partition]:

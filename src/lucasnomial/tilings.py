@@ -37,16 +37,24 @@ class Tiling:
     def __post_init__(self) -> None:
         if self.kind not in (LINEAR, CIRCULAR):
             raise ValueError(f"unknown tiling kind {self.kind!r}")
-        if any(t not in (MONO, DOMINO) for t in self.tiles):
+        monos, doms = self.tiles.count(MONO), self.tiles.count(DOMINO)
+        if monos + doms != len(self.tiles):
             raise ValueError(f"unknown tile in {self.tiles!r}")
         if self.wrap and self.kind != CIRCULAR:
             raise ValueError("only circular tilings may wrap")
+        # the weight is counted once, here; a plain attribute, not a field, so
+        # equality, hashing and repr see only kind, tiles and wrap
+        if self.kind == CIRCULAR and not self.tiles and not self.wrap:
+            exponents = (0, 0, 2)
+        else:
+            exponents = (monos, doms + (1 if self.wrap else 0), 1)
+        object.__setattr__(self, "_exponents", exponents)
 
     @property
     def length(self) -> int:
         """Number of squares covered."""
-        inner = sum(2 if t == DOMINO else 1 for t in self.tiles)
-        return inner + (2 if self.wrap else 0)
+        a, b, _ = self._exponents
+        return a + 2 * b
 
     def weight(self) -> BivariatePolynomial:
         a, b, c = self.weight_exponents()
@@ -54,11 +62,7 @@ class Tiling:
 
     def weight_exponents(self) -> tuple[int, int, int]:
         """(s-power, t-power, coefficient) of the weight monomial."""
-        if self.kind == CIRCULAR and not self.tiles and not self.wrap:
-            return 0, 0, 2
-        monos = self.tiles.count(MONO)
-        doms = self.tiles.count(DOMINO) + (1 if self.wrap else 0)
-        return monos, doms, 1
+        return self._exponents
 
     def text(self) -> str:
         parts = (["(D)"] if self.wrap else []) + list(self.tiles)
@@ -109,16 +113,20 @@ def _tiling_pool(kind: str, n: int) -> tuple[Tiling, ...]:
     return tuple(iter_tilings(kind, n))
 
 
-def _count(kind: str, n: int) -> int:
-    """Tiling count without materializing; matches enumerate_tilings."""
+def _count(kind: str, n: int, cap: int | None = None) -> int:
+    """Tiling count without materializing; matches enumerate_tilings.  Given
+    a cap, the count stops once it passes cap and returns some value above
+    it, so a huge n costs a few steps instead of n big-integer additions."""
     if kind == LINEAR_NOLEAD:
-        return 1 if n == 0 else 0 if n == 1 else _count(LINEAR, n - 2)
+        return 1 if n == 0 else 0 if n == 1 else _count(LINEAR, n - 2, cap)
     if kind not in (LINEAR, CIRCULAR):
         raise DomainError(f"unknown tiling kind {kind!r}")
     # linear counts of lengths n - 2, n - 1 and n, the first two 0 below 0
     before, last, count = 0, 0, 1
     for _ in range(n):
         before, last, count = last, count, count + last
+        if cap is not None and count > cap:
+            break
     if kind == CIRCULAR and n >= 2:
         return count + before
     return count

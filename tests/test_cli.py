@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -8,10 +13,13 @@ from lucasnomial import (
     BivariatePolynomial,
     DomainError,
     UnivariatePolynomial,
+    cli,
     interpretations,
     lucas_F,
 )
 from lucasnomial.cli import main
+from lucasnomial.interpretations import PAIR_BUDGET
+from lucasnomial.tilings import LINEAR, _count
 
 
 def run(*args):
@@ -301,6 +309,66 @@ def test_over_budget_grid_is_refused_before_any_case(monkeypatch):
         "error: enumeration of (3, 8) circular_pair predicts 10444600 tiling "
         "pairs, over the budget of 10000000; use gf mode\n"
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("tilings", "linear", "35"),
+        ("tilings", "linear", "100"),
+        ("tilings", "nolead", "37"),
+        ("tilings", "circular", "100000000"),
+        ("partitions", "13", "13"),
+        ("partitions", "40", "40"),
+        ("partitions", "1000000000", "1000000000"),
+    ],
+)
+def test_over_budget_listing_is_refused(args):
+    flags = ("--weights",) if args[0] == "tilings" else ("--complement",)
+    for extra in ((), flags):
+        code, out, err = run(*args, *extra)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: {' '.join(args)} would list more than 10000000 lines, "
+            "the listing budget\n"
+        )
+
+
+def test_largest_listings_in_budget_still_list(monkeypatch):
+    # checked by count only: printing 9,227,465 tilings takes over a minute
+    assert _count(LINEAR, 34) == 9_227_465 <= PAIR_BUDGET < _count(LINEAR, 35)
+    assert comb(24, 12) <= PAIR_BUDGET < comb(26, 13)
+    listed = []
+
+    def record(*args):
+        listed.append(args)
+        return iter(())
+
+    monkeypatch.setattr(cli, "iter_tilings", record)
+    monkeypatch.setattr(cli, "iter_in_rect", record)
+    assert run("tilings", "linear", "34", "--weights") == (0, "", "")
+    assert run("partitions", "12", "12", "--complement") == (0, "", "")
+    assert run("partitions", "12", "13") == (0, "", "")
+    assert listed == [(LINEAR, 34), (12, 12), (12, 13)]
+
+
+@pytest.mark.parametrize("n,first", [("25", b"D D D D D D D D D D D D M\n"), ("10", None)])
+def test_closed_pipe_exits_141_quietly(n, first):
+    # the reader takes one line, or none, and closes the pipe, as `| head`
+    # does.  stdout is block-buffered, as it is on a pipe by default, so the
+    # 89 tilings of length 10 are still in its buffer when the pipe closes.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lucasnomial", "tilings", "linear", n],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    if first is not None:
+        assert proc.stdout.readline() == first
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_specialize_fibonomial():

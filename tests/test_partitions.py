@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from lucasnomial import DomainError, Partition, enumerate_in_rect, iter_in_rect
+from lucasnomial.partitions import _count_in_rect
 
 
 def test_two_subsets_of_unit_rectangle():
@@ -62,12 +63,32 @@ def test_size():
     assert Partition((4, 4, 4), 4).size() == 12
 
 
-@pytest.mark.parametrize("m,n", [(m, n) for m in range(6) for n in range(6)])
+def reference_complement(p: Partition) -> Partition:
+    # the direct O(m*n) count: column j (from the right) is m minus the parts
+    # that reach it
+    m, n = p.rows, p.cols
+    comp = tuple(m - sum(1 for x in p.parts if x >= n + 1 - j) for j in range(1, n + 1))
+    return Partition(comp, m)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(8) for n in range(8)])
 def test_complement_involution_and_sizes(m, n):
     for p in enumerate_in_rect(m, n):
         comp = p.complement()
+        assert comp == reference_complement(p), p
         assert p.size() + comp.size() == m * n
         assert comp.complement() == p
+
+
+def test_capped_rectangle_counts():
+    for m in range(10):
+        for n in range(10):
+            assert _count_in_rect(m, n, 10**6) == comb(m + n, m)
+            capped = _count_in_rect(m, n, 100)
+            assert capped == comb(m + n, m) if comb(m + n, m) <= 100 else capped > 100
+    # a few steps, not a binomial with a billion digits
+    assert _count_in_rect(10**9, 10**9, 10**7) > 10**7
+    assert _count_in_rect(10**9, 0, 10**7) == 1
 
 
 def test_validation():

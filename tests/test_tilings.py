@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import pytest
@@ -83,8 +84,38 @@ def test_tiling_validation():
         Tiling(LINEAR, (MONO,), wrap=True)
     with pytest.raises(ValueError):
         Tiling("weird", (MONO,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown tile in"):
         Tiling(LINEAR, ("X",))
+    with pytest.raises(ValueError, match="unknown tile in"):
+        Tiling(LINEAR, ("M", "X"))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stored_weight_matches_tile_counts(kind):
+    # the exponents are counted once at construction; recount every tiling
+    for n in range(13):
+        for t in iter_tilings(kind, n):
+            if t.kind == CIRCULAR and not t.tiles and not t.wrap:
+                expected = (0, 0, 2)
+            else:
+                doms = sum(1 for x in t.tiles if x == DOMINO) + (1 if t.wrap else 0)
+                expected = (sum(1 for x in t.tiles if x == MONO), doms, 1)
+            assert t.weight_exponents() == expected, t
+            assert t.length == n, t
+    assert Tiling(CIRCULAR, ()).weight_exponents() == (0, 0, 2)
+    assert Tiling(CIRCULAR, (), wrap=True).weight_exponents() == (0, 1, 1)
+
+
+def test_stored_weight_is_not_a_field():
+    assert [f.name for f in dataclasses.fields(Tiling)] == ["kind", "tiles", "wrap"]
+    t = Tiling(CIRCULAR, (MONO, DOMINO), wrap=True)
+    assert repr(t) == "Tiling(kind='circular', tiles=('M', 'D'), wrap=True)"
+    twin = Tiling(CIRCULAR, (MONO, DOMINO), True)
+    assert t == twin and hash(t) == hash(twin)
+    assert hash(t) == hash((CIRCULAR, (MONO, DOMINO), True))
+    assert t != Tiling(CIRCULAR, (MONO, DOMINO))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.tiles = ()
 
 
 def test_gf_closed_forms():
@@ -116,6 +147,16 @@ def test_counts_match_enumeration():
             assert _count(kind, n) == len(enumerate_tilings(kind, n)), (kind, n)
     with pytest.raises(DomainError):
         _count("spiral", 3)
+
+
+def test_capped_counts_stop_past_the_cap():
+    for kind in KINDS:
+        for n in range(40):
+            exact = _count(kind, n)
+            capped = _count(kind, n, 1000)
+            assert capped == exact if exact <= 1000 else capped > 1000, (kind, n)
+    # a few steps, not 10**9 big-integer additions
+    assert _count(CIRCULAR, 10**9, 10**7) > 10**7
 
 
 def test_counts_need_no_deep_recursion():
