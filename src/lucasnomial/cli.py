@@ -172,6 +172,15 @@ def _cmd_tilings(args) -> int:
 def _cmd_partitions(args) -> int:
     count = _count_in_rect(args.m, args.n, PAIR_BUDGET)
     _check_listing(count, f"partitions {args.m} {args.n}")
+    # a line holds m parts, and n more with the complement: one line can be
+    # the long one, as in `partitions 1000000000 0`
+    length = args.m + (args.n if args.complement else 0)
+    if length > PAIR_BUDGET:
+        flag = " --complement" if args.complement else ""
+        raise ResourceError(
+            f"partitions {args.m} {args.n}{flag} would list a line of {length} "
+            f"parts, more than {PAIR_BUDGET}, the listing budget"
+        )
     for part in iter_in_rect(args.m, args.n):
         line = part.text()
         if args.complement:

@@ -25,6 +25,16 @@ W(m, n) = F(n+1)*W(m-1, n) + t*F(m-1)*W(m, n-1), which is exactly
 via_recursion_fib, and the theorem check would become that route checking
 itself.  Counting pairs for the budget has no such concern, so
 predicted_pair_count runs that recursion over integer tiling counts.
+
+The walk runs in the integers.  Every closed form is weight-homogeneous
+with nonnegative coefficients, so it is packed once as its value at s = 1,
+t = 2^B (Kronecker substitution), and each step is one integer product.  The
+sum has weight m*n, so its value there, read as base-2^B digits, gives back
+every coefficient, provided each is below 2^B.  B is the bit length of a
+bound on the sum's value at s = t = 1, which no coefficient exceeds: the
+pair count for linear pairs, the pair count times 2^(m+n) for circular ones
+(the proof is at _gf_sum).  The bound only sizes the digits: the decoded sum
+is still compared with the quotient route.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from .coefficients import via_quotient
 from .errors import DomainError, ResourceError
 from .lucas import check_lemma1, lucas_F, lucas_L
 from .partitions import enumerate_in_rect
-from .poly import BivariatePolynomial, ONE, T, ZERO, _power
+from .poly import BivariatePolynomial, T, _pack, _power, _unpack
 from .reports import CaseResult, IdentityReport
 from .tilings import (
     CIRCULAR,
@@ -131,14 +141,25 @@ def iter_pairs(m: int, n: int, flavor: str):
 
 
 def _gf_sum(m: int, n: int, flavor: str) -> BivariatePolynomial:
+    # Each coefficient of the sum is at most the sum's value at s = t = 1,
+    # the total of them all.  A linear pair weighs one monomial with
+    # coefficient 1, so for linear pairs that value is the pair count.  A
+    # circular pair holds m + n tilings of coefficient 1 or 2, so there it is
+    # at most the pair count times 2^(m+n).  Either bound is below 2^bits, so
+    # every coefficient is one base-2^bits digit of acc, the sum's value at
+    # s = 1, t = 2^bits.
+    bound = predicted_pair_count(m, n, flavor)
+    if flavor == CIRCULAR_PAIR:
+        bound <<= m + n
+    bits = max(1, bound.bit_length())
     # depth-first over boundary paths; a stack entry is (x, h, prefix product)
     row_kind, col_kind = _pair_kinds(flavor)
-    ups = [gf(row_kind, x) for x in range(n + 1)]
-    rights = [gf(col_kind, h) for h in range(m + 1)]
+    ups = [_pack(gf(row_kind, x), bits) for x in range(n + 1)]
+    rights = [_pack(gf(col_kind, h), bits) for h in range(m + 1)]
     # the forced tails: right steps at height m, up steps at column n
-    right_tail, up_tail = [ONE], [ONE]
-    acc = ZERO
-    stack = [(0, 0, ONE)]
+    right_tail, up_tail = [1], [1]
+    acc = 0
+    stack = [(0, 0, 1)]
     while stack:
         x, h, prefix = stack.pop()
         if h == m or x == n:
@@ -153,7 +174,7 @@ def _gf_sum(m: int, n: int, flavor: str) -> BivariatePolynomial:
         if rights[h]:
             stack.append((x + 1, h, prefix * rights[h]))
         stack.append((x, h + 1, prefix * ups[x]))
-    return acc
+    return _unpack(acc, m * n, bits)
 
 
 def _check_budget(m: int, n: int, flavor: str, budget: int) -> None:

@@ -286,6 +286,40 @@ def _convolve(x: list[int], y: list[int]) -> list[int]:
     return out
 
 
+def _pack(poly: BivariatePolynomial, bits: int) -> int:
+    """poly(1, 2^bits), for poly weight-homogeneous with nonnegative
+    coefficients: its one run, read as base-2^bits digits indexed by the
+    t-power.  Evaluation is a ring map, so products and sums of packed values
+    are the packed products and sums; _unpack recovers a result whose
+    coefficients are all below 2^bits."""
+    if len(poly._runs) > 1:
+        raise ValueError(f"{poly.canonical_text()!r} has more than one grade")
+    value = 0
+    for i0, run in poly._runs.values():
+        if min(run) < 0:
+            raise ValueError(f"{poly.canonical_text()!r} has a negative coefficient")
+        for c in reversed(run):
+            value = (value << bits) + c
+        value <<= bits * i0
+    return value
+
+
+def _unpack(value: int, weight: int, bits: int) -> BivariatePolynomial:
+    """The polynomial of grade weight whose coefficients, each below
+    2^bits, are the base-2^bits digits of value; the inverse of _pack."""
+    if value < 0:
+        raise ValueError("a packed polynomial is nonnegative")
+    mask, run = (1 << bits) - 1, []
+    while value:
+        run.append(value & mask)
+        value >>= bits
+    if len(run) > weight // 2 + 1:
+        raise ValueError(f"{len(run)} digits do not fit grade {weight}")
+    runs: dict[int, tuple[int, list[int]]] = {}
+    _add_run(runs, weight, 0, run)
+    return BivariatePolynomial._from_runs(runs)
+
+
 def _render_terms(terms, latex: bool) -> str:
     """Join (coefficient, ((var, power), ...)) terms in the given order.
 

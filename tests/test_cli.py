@@ -334,6 +334,30 @@ def test_over_budget_listing_is_refused(args):
         )
 
 
+@pytest.mark.parametrize(
+    "args, length",
+    [
+        (("partitions", "1000000000", "0"), 1000000000),
+        (("partitions", "10000001", "0"), 10000001),
+        (("partitions", "0", "1000000000", "--complement"), 1000000000),
+        (("partitions", "0", "10000001", "--complement"), 10000001),
+        (("partitions", "10000001", "0", "--complement"), 10000001),
+    ],
+)
+def test_over_budget_line_is_refused(monkeypatch, args, length):
+    # one line of the listing would hold more parts than the budget
+    def refuse(*args):
+        raise AssertionError("a partition was built before the line check")
+
+    monkeypatch.setattr(cli, "iter_in_rect", refuse)
+    code, out, err = run(*args)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: {' '.join(args)} would list a line of {length} parts, "
+        "more than 10000000, the listing budget\n"
+    )
+
+
 def test_largest_listings_in_budget_still_list(monkeypatch):
     # checked by count only: printing 9,227,465 tilings takes over a minute
     assert _count(LINEAR, 34) == 9_227_465 <= PAIR_BUDGET < _count(LINEAR, 35)
@@ -349,7 +373,13 @@ def test_largest_listings_in_budget_still_list(monkeypatch):
     assert run("tilings", "linear", "34", "--weights") == (0, "", "")
     assert run("partitions", "12", "12", "--complement") == (0, "", "")
     assert run("partitions", "12", "13") == (0, "", "")
-    assert listed == [(LINEAR, 34), (12, 12), (12, 13)]
+    # the longest lines in budget: m parts, plus n with the complement
+    assert run("partitions", "10000000", "0") == (0, "", "")
+    assert run("partitions", "0", "10000000", "--complement") == (0, "", "")
+    assert run("partitions", "0", "1000000000") == (0, "", "")
+    assert listed == [
+        (LINEAR, 34), (12, 12), (12, 13), (10000000, 0), (0, 10000000), (0, 1000000000)
+    ]
 
 
 @pytest.mark.parametrize("n,first", [("25", b"D D D D D D D D D D D D M\n"), ("10", None)])

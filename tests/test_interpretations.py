@@ -24,7 +24,7 @@ from lucasnomial import (
     verify_theorem,
     via_quotient,
 )
-from lucasnomial import interpretations
+from lucasnomial import coefficients, interpretations
 from lucasnomial.interpretations import (
     recursion_cases,
     recursion_task_cases,
@@ -80,11 +80,39 @@ def test_gf_walk_matches_per_partition_sum(flavor):
             assert fn(m, n) == per_partition(m, n, flavor, gf), (m, n)
 
 
-@pytest.mark.parametrize("m, n", [(8, 8), (10, 3), (3, 10)])
+@pytest.mark.parametrize("m, n", [(8, 8), (10, 3), (3, 10), (10, 10)])
 def test_gf_matches_quotient_on_larger_rectangles(m, n):
     expected = via_quotient(m + n, m)
     assert rhs_linear(m, n) == expected
     assert rhs_circular(m, n) == expected * (1 << (m + n))
+
+
+def test_gf_walk_uses_no_recursion_memo():
+    # the walk must not route through the lattice-path recursion it checks
+    for memo in (coefficients._plain, coefficients.via_recursion_fib):
+        memo.cache_clear()
+    rhs_circular(6, 6)
+    assert coefficients._plain.cache_info().currsize == 0
+    assert coefficients.via_recursion_fib.cache_info().currsize == 0
+
+
+def test_gf_walk_multiplies_integers_not_polynomials(monkeypatch):
+    # the 924 partitions of 6 x 6 are multiplied out as packed integers; the
+    # only polynomial products are those under the closed forms, O(m + n)
+    calls = []
+    mul = BivariatePolynomial.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(BivariatePolynomial, "__mul__", counted)
+    monkeypatch.setattr(BivariatePolynomial, "__rmul__", counted)
+    sums = [rhs_linear(6, 6), rhs_circular(6, 6)]
+    assert len(calls) <= 4 * (6 + 6)
+    monkeypatch.undo()
+    expected = via_quotient(12, 6)
+    assert sums == [expected, expected * (1 << 12)]
 
 
 def test_circular_base_cases():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lucasnomial import BivariatePolynomial, IndivisibleError, UnivariatePolynomial
-from lucasnomial.poly import ONE, S, T, ZERO
+from lucasnomial.poly import ONE, S, T, ZERO, _pack, _unpack
 
 
 def P(text: str) -> BivariatePolynomial:
@@ -368,3 +368,55 @@ def test_exact_div_refuses_exactly_where_the_reference_does(pair):
             p.exact_div(d)
     else:
         assert term_dict(p.exact_div(d)) == expected
+
+
+# Kronecker packing: a homogeneous polynomial with nonnegative coefficients
+# travels as its value at s = 1, t = 2^bits.
+
+
+@st.composite
+def packable_polys(draw, max_weight: int = 60):
+    """(weight, polynomial) with coefficients in [0, 10^30] at that weight."""
+    w = draw(st.integers(0, max_weight))
+    cs = draw(st.dictionaries(st.integers(0, w // 2), st.integers(0, 10**30)))
+    return w, BivariatePolynomial({(w - 2 * b, b): c for b, c in cs.items()})
+
+
+def digit_bits(coefficients) -> int:
+    return max(1, max((c.bit_length() for c in coefficients), default=0))
+
+
+@given(packable_polys())
+def test_pack_round_trip(drawn):
+    w, p = drawn
+    bits = digit_bits(c for _, _, c in p.terms())
+    packed = _pack(p, bits)
+    assert packed == p.eval_int(1, 1 << bits)
+    assert _unpack(packed, w, bits) == p
+
+
+@given(packable_polys(), packable_polys())
+def test_pack_is_multiplicative(first, second):
+    (v, p), (w, q) = first, second
+    product = reference_mul(p, q)
+    bits = digit_bits(product.values())
+    unpacked = _unpack(_pack(p, bits) * _pack(q, bits), v + w, bits)
+    assert term_dict(unpacked) == product
+    assert unpacked == p * q
+
+
+def test_pack_refuses_what_it_cannot_carry():
+    with pytest.raises(ValueError, match="more than one grade"):
+        _pack(P("s + t"), 8)
+    with pytest.raises(ValueError, match="negative coefficient"):
+        _pack(P("s^2 - t"), 8)
+    with pytest.raises(ValueError):
+        _unpack(-1, 0, 4)
+    # a grade-2 polynomial has t-powers 0 and 1 only: a third digit is past it
+    with pytest.raises(ValueError):
+        _unpack(1 << 8, 2, 4)
+
+
+def test_zero_packs_to_zero():
+    assert _pack(ZERO, 5) == 0
+    assert _unpack(0, 7, 5) == ZERO
