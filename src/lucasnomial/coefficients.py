@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import DomainError, InternalParityError
+from .errors import DomainError, IndivisibleError, InternalParityError
 from .lucas import lucas_F, lucas_L, lucas_factorial
 from .poly import BivariatePolynomial, ONE, T, ZERO
 
@@ -76,15 +76,12 @@ def via_recursion_luc(n: int, k: int) -> BivariatePolynomial:
     if k < 0 or k > n:
         return ZERO
     scaled = _grid(_doubled, k, n - k)
-    scale = 1 << n
-    terms = {}
-    for a, b, c in scaled.terms():
-        if c % scale:
-            raise InternalParityError(
-                f"coefficient {c} of s^{a}*t^{b} is not divisible by 2^{n}"
-            )
-        terms[(a, b)] = c // scale
-    return BivariatePolynomial(terms)
+    try:
+        return scaled.exact_div(BivariatePolynomial.const(1 << n))
+    except IndivisibleError as exc:
+        raise InternalParityError(
+            f"the doubled coefficient ({n}, {k}) is not divisible by 2^{n}"
+        ) from exc
 
 
 @dataclass(frozen=True)

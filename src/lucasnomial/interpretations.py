@@ -23,18 +23,18 @@ on (x, h).  Such a memo is the lattice-path recursion; splitting on "first
 row full, or last column empty" gives
 W(m, n) = F(n+1)*W(m-1, n) + t*F(m-1)*W(m, n-1), which is exactly
 via_recursion_fib, and the theorem check would become that route checking
-itself.  Counting pairs for the budget has no such concern, so
-predicted_pair_count runs that recursion over integer tiling counts.
+itself.  Counting pairs for the budget and sizing the digits below have no
+such concern, so both run that recursion over integers (_path_total).
 
 The walk runs in the integers.  Every closed form is weight-homogeneous
 with nonnegative coefficients, so it is packed once as its value at s = 1,
 t = 2^B (Kronecker substitution), and each step is one integer product.  The
 sum has weight m*n, so its value there, read as base-2^B digits, gives back
-every coefficient, provided each is below 2^B.  B is the bit length of a
-bound on the sum's value at s = t = 1, which no coefficient exceeds: the
-pair count for linear pairs, the pair count times 2^(m+n) for circular ones
-(the proof is at _gf_sum).  The bound only sizes the digits: the decoded sum
-is still compared with the quotient route.
+every coefficient, provided each is below 2^B.  B is the bit length of the
+sum's value at s = t = 1, which no coefficient exceeds since none is
+negative; that value is the lattice-path total of the closed forms' values
+at s = t = 1.  It only sizes the digits: the decoded sum is still compared
+with the quotient route.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import DomainError, ResourceError
 from .lucas import check_lemma1, lucas_F, lucas_L
 from .partitions import enumerate_in_rect
 from .poly import BivariatePolynomial, T, _pack, _power, _unpack
-from .reports import CaseResult, IdentityReport
+from .reports import CaseResult, IdentityReport, _case
 from .tilings import (
     CIRCULAR,
     LINEAR,
@@ -109,25 +109,33 @@ def _pair_kinds(flavor: str) -> tuple[str, str]:
     raise DomainError(f"unknown flavor {flavor!r}")
 
 
-def predicted_pair_count(m: int, n: int, flavor: str) -> int:
-    """Number of (partition, pair) objects enumeration would produce.
-
-    Counts weighted lattice paths in O(mn) integer steps: ways[h] holds the
-    count of paths to (x, h), an up step at column x weighs the number of
-    row tilings of length x, and a right step at height h the number of
-    column tilings of length h."""
-    if m < 0 or n < 0:
-        raise DomainError("rectangle dimensions must be nonnegative")
-    row_kind, col_kind = _pair_kinds(flavor)
-    cols = [_count(col_kind, h) for h in range(m + 1)]
+def _path_total(rows: list[int], cols: list[int]) -> int:
+    """Total weight of the lattice paths from (0, 0) to (len(rows) - 1,
+    len(cols) - 1), in O(mn) integer steps: an up step at column x weighs
+    rows[x], a right step at height h weighs cols[h], and ways[h] holds the
+    total of the paths to (x, h)."""
+    m = len(cols) - 1
     ways = [1] + [0] * m
-    for x in range(n + 1):
+    for x, row in enumerate(rows):
         if x:
             ways = [w * c for w, c in zip(ways, cols)]
-        row = _count(row_kind, x)
         for h in range(1, m + 1):
             ways[h] += ways[h - 1] * row
     return ways[m]
+
+
+def predicted_pair_count(m: int, n: int, flavor: str) -> int:
+    """Number of (partition, pair) objects enumeration would produce: the
+    lattice-path total with each row of length x weighing its number of row
+    tilings, and each column of length h its number of column tilings."""
+    if m < 0 or n < 0:
+        raise DomainError("rectangle dimensions must be nonnegative")
+    row_kind, col_kind = _pair_kinds(flavor)
+    if m == 0 or n == 0:
+        # one partition, and every part and complement column has length 0
+        return 1
+    rows = [_count(row_kind, x) for x in range(n + 1)]
+    return _path_total(rows, [_count(col_kind, h) for h in range(m + 1)])
 
 
 def iter_pairs(m: int, n: int, flavor: str):
@@ -141,21 +149,17 @@ def iter_pairs(m: int, n: int, flavor: str):
 
 
 def _gf_sum(m: int, n: int, flavor: str) -> BivariatePolynomial:
-    # Each coefficient of the sum is at most the sum's value at s = t = 1,
-    # the total of them all.  A linear pair weighs one monomial with
-    # coefficient 1, so for linear pairs that value is the pair count.  A
-    # circular pair holds m + n tilings of coefficient 1 or 2, so there it is
-    # at most the pair count times 2^(m+n).  Either bound is below 2^bits, so
-    # every coefficient is one base-2^bits digit of acc, the sum's value at
-    # s = 1, t = 2^bits.
-    bound = predicted_pair_count(m, n, flavor)
-    if flavor == CIRCULAR_PAIR:
-        bound <<= m + n
-    bits = max(1, bound.bit_length())
-    # depth-first over boundary paths; a stack entry is (x, h, prefix product)
     row_kind, col_kind = _pair_kinds(flavor)
-    ups = [_pack(gf(row_kind, x), bits) for x in range(n + 1)]
-    rights = [_pack(gf(col_kind, h), bits) for h in range(m + 1)]
+    row_gfs = [gf(row_kind, x) for x in range(n + 1)]
+    col_gfs = [gf(col_kind, h) for h in range(m + 1)]
+    # no coefficient is negative, so none exceeds the sum's value at s = t = 1
+    at_one = _path_total(
+        [p.eval_int(1, 1) for p in row_gfs], [p.eval_int(1, 1) for p in col_gfs]
+    )
+    bits = max(1, at_one.bit_length())
+    # depth-first over boundary paths; a stack entry is (x, h, prefix product)
+    ups = [_pack(p, bits) for p in row_gfs]
+    rights = [_pack(p, bits) for p in col_gfs]
     # the forced tails: right steps at height m, up steps at column n
     right_tail, up_tail = [1], [1]
     acc = 0
@@ -246,15 +250,8 @@ def theorem_cases(
         else:
             name, lhs = "circular", expected * (1 << (m + n))
             rhs = rhs_circular(m, n, mode, budget)
-        out.append(
-            CaseResult(
-                key=(name, m, n),
-                label=f"theorem {name} m={m} n={n} mode={mode}",
-                passed=lhs == rhs,
-                lhs=lhs,
-                rhs=rhs,
-            )
-        )
+        label = f"theorem {name} m={m} n={n} mode={mode}"
+        out.append(_case((name, m, n), label, lhs, rhs))
     return out
 
 
@@ -267,10 +264,16 @@ def _check_bounds(*bounds: int) -> None:
         raise DomainError("grid bounds must be nonnegative")
 
 
-def _check_nonempty(grid: list, rng: str) -> None:
-    # a grid that checks nothing must not report success
-    if not grid:
+def _check_nonempty(m_max: int, rng: str) -> None:
+    # m runs over 1..m_max, so the grid is empty exactly when m_max < 1; a
+    # grid that checks nothing must not report success
+    if m_max < 1:
         raise DomainError(f"the grid {rng} has no cases")
+
+
+def _rect(m_min: int, m_max: int, n_max: int):
+    # a rectangle's cells, m first, generated one at a time and never stored
+    return ((m, n) for m in range(m_min, m_max + 1) for n in range(n_max + 1))
 
 
 def _theorem_grid(m_max: int, n_max: int, flavor: str, mode: str, budget: int):
@@ -278,11 +281,15 @@ def _theorem_grid(m_max: int, n_max: int, flavor: str, mode: str, budget: int):
     over-budget case of an enumerate grid is refused before any case runs."""
     pair_flavors = _pair_flavors(flavor)
     _check_bounds(m_max, n_max)
-    grid = [(m, n) for m in range(m_max + 1) for n in range(n_max + 1)]
     if mode == "enumerate":
-        for (m, n), pair_flavor in product(grid, pair_flavors):
-            _check_budget(m, n, pair_flavor, budget)
-    cases = (c for m, n in grid for c in theorem_cases(m, n, flavor, mode, budget))
+        for m, n in _rect(0, m_max, n_max):
+            for pair_flavor in pair_flavors:
+                _check_budget(m, n, pair_flavor, budget)
+    cases = (
+        c
+        for m, n in _rect(0, m_max, n_max)
+        for c in theorem_cases(m, n, flavor, mode, budget)
+    )
     return f"0<=m<={m_max}, 0<=n<={n_max}, flavor={flavor}, mode={mode}", cases
 
 
@@ -312,20 +319,8 @@ def recursion_cases(m: int, n: int) -> list[CaseResult]:
     rhs_fib = lucas_F(n + 1) * upper_left + T * lucas_F(m - 1) * upper_right
     rhs_luc = lucas_L(n) * upper_left + lucas_L(m) * upper_right
     return [
-        CaseResult(
-            key=("rec-fib", m, n),
-            label=f"rec-fib m={m} n={n}",
-            passed=lhs == rhs_fib,
-            lhs=lhs,
-            rhs=rhs_fib,
-        ),
-        CaseResult(
-            key=("rec-luc", m, n),
-            label=f"rec-luc doubled m={m} n={n}",
-            passed=lhs * 2 == rhs_luc,
-            lhs=lhs * 2,
-            rhs=rhs_luc,
-        ),
+        _case(("rec-fib", m, n), f"rec-fib m={m} n={n}", lhs, rhs_fib),
+        _case(("rec-luc", m, n), f"rec-luc doubled m={m} n={n}", lhs * 2, rhs_luc),
     ]
 
 
@@ -342,19 +337,22 @@ def _recursion_grid(total_max: int):
     """The recursion and index-addition cases for every admissible (m, n)
     with m + n <= total_max, m first."""
     _check_bounds(total_max)
-    grid = [(m, n) for m in range(1, total_max + 1) for n in range(total_max - m + 1)]
     rng = f"m>=1, n>=0, m+n<={total_max}"
-    _check_nonempty(grid, rng)
-    return rng, (c for m, n in grid for c in recursion_task_cases(m, n))
+    _check_nonempty(total_max, rng)
+    return rng, (
+        c
+        for m in range(1, total_max + 1)
+        for n in range(total_max - m + 1)
+        for c in recursion_task_cases(m, n)
+    )
 
 
 def _lemma1_grid(m_max: int, n_max: int):
     """The index-addition cases for 1 <= m <= m_max, 0 <= n <= n_max, m first."""
     _check_bounds(m_max, n_max)
-    grid = [(m, n) for m in range(1, m_max + 1) for n in range(n_max + 1)]
     rng = f"1<=m<={m_max}, 0<=n<={n_max}"
-    _check_nonempty(grid, rng)
-    return rng, (c for m, n in grid for c in check_lemma1(m, n).cases)
+    _check_nonempty(m_max, rng)
+    return rng, (c for m, n in _rect(1, m_max, n_max) for c in check_lemma1(m, n).cases)
 
 
 def verify_recursions(total_max: int) -> IdentityReport:

@@ -12,16 +12,21 @@ import threading
 
 from .errors import DomainError
 from .poly import BivariatePolynomial, ONE, S, T, TWO, ZERO
-from .reports import CaseResult, IdentityReport
+from .reports import IdentityReport, _case
+
+
+def _next_lucas(seq: list[BivariatePolynomial]) -> BivariatePolynomial:
+    # the recursion both Lucas sequences share; only their seeds differ
+    return S * seq[-1] + T * seq[-2]
 
 
 class LucasCache:
     """Grow-only memo of the three sequences; extension is lock-serialized.
 
-    The two Lucas sequences grow together; factorials grow separately, only
-    as far as factorial() is asked for.  Cached entries are immutable
-    polynomials, so concurrent reads are safe; the lock only serializes
-    appends.
+    Each sequence grows alone, only as far as it is asked for: F, L and the
+    factorials share nothing but the F values a factorial multiplies.
+    Cached entries are immutable polynomials, so concurrent reads are safe;
+    the lock only serializes appends.
     """
 
     def __init__(self) -> None:
@@ -30,39 +35,27 @@ class LucasCache:
         self._luc: list[BivariatePolynomial] = [TWO, S]
         self._fact: list[BivariatePolynomial] = [ONE, ONE]
 
-    def _extend(self, n: int) -> None:
-        with self._lock:
-            while len(self._fib) <= n:
-                k = len(self._fib)
-                self._fib.append(S * self._fib[k - 1] + T * self._fib[k - 2])
-                self._luc.append(S * self._luc[k - 1] + T * self._luc[k - 2])
+    def _grow(self, seq: list, n: int, step) -> BivariatePolynomial:
+        """seq[n], appending step(seq) under the lock until seq reaches n."""
+        if n < 0:
+            raise DomainError("sequence index must be nonnegative")
+        if n >= len(seq):
+            with self._lock:
+                while len(seq) <= n:
+                    seq.append(step(seq))
+        return seq[n]
 
     def fib(self, n: int) -> BivariatePolynomial:
-        if n < 0:
-            raise DomainError("sequence index must be nonnegative")
-        if n >= len(self._fib):
-            self._extend(n)
-        return self._fib[n]
+        return self._grow(self._fib, n, _next_lucas)
 
     def luc(self, n: int) -> BivariatePolynomial:
-        if n < 0:
-            raise DomainError("sequence index must be nonnegative")
-        if n >= len(self._luc):
-            self._extend(n)
-        return self._luc[n]
+        return self._grow(self._luc, n, _next_lucas)
 
     def factorial(self, n: int) -> BivariatePolynomial:
-        if n < 0:
-            raise DomainError("sequence index must be nonnegative")
-        if n >= len(self._fact):
-            # factorials grow only on demand: the big products are paid for
-            # by callers that need them, not by every sequence lookup
-            self.fib(n)
-            with self._lock:
-                while len(self._fact) <= n:
-                    k = len(self._fact)
-                    self._fact.append(self._fact[k - 1] * self._fib[k])
-        return self._fact[n]
+        # F grows first: the lock is not re-entrant, so a step may only read
+        # _fib, never call fib()
+        self.fib(n)
+        return self._grow(self._fact, n, lambda f: f[-1] * self._fib[len(f)])
 
 
 _CACHE = LucasCache()
@@ -99,19 +92,7 @@ def check_lemma1(m: int, n: int) -> IdentityReport:
     lhs_2f = lhs_f * 2
     rhs_2f = lucas_L(n) * lucas_F(m) + lucas_L(m) * lucas_F(n)
     cases = (
-        CaseResult(
-            key=("lemma1-F", m, n),
-            label=f"lemma1 F-sum m={m} n={n}",
-            passed=lhs_f == rhs_f,
-            lhs=lhs_f,
-            rhs=rhs_f,
-        ),
-        CaseResult(
-            key=("lemma1-2F", m, n),
-            label=f"lemma1 2F-sum m={m} n={n}",
-            passed=lhs_2f == rhs_2f,
-            lhs=lhs_2f,
-            rhs=rhs_2f,
-        ),
+        _case(("lemma1-F", m, n), f"lemma1 F-sum m={m} n={n}", lhs_f, rhs_f),
+        _case(("lemma1-2F", m, n), f"lemma1 2F-sum m={m} n={n}", lhs_2f, rhs_2f),
     )
     return IdentityReport("lemma1", f"m={m}, n={n}", cases)

@@ -21,6 +21,11 @@ class CaseResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.label}"
 
 
+def _case(key: tuple, label: str, lhs, rhs) -> CaseResult:
+    """The verdict on one identity instance: it passes when lhs == rhs."""
+    return CaseResult(key, label, lhs == rhs, lhs, rhs)
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     identity: str

@@ -311,6 +311,18 @@ def test_over_budget_grid_is_refused_before_any_case(monkeypatch):
     )
 
 
+def test_enumerate_refusal_names_the_first_case_past_a_long_edge():
+    # the 1001 cells of the m = 0 edge are priced first, each at one pair
+    code, out, err = run(
+        "verify", "theorem", "--m-max", "1", "--n-max", "1000", "--mode", "enumerate"
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: enumeration of (1, 32) circular_pair predicts 12752041 tiling "
+        "pairs, over the budget of 10000000; use gf mode\n"
+    )
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -3,12 +3,14 @@ import pytest
 from lucasnomial import (
     BivariatePolynomial,
     DomainError,
+    InternalParityError,
     lucas_F,
     table,
     via_quotient,
     via_recursion_fib,
     via_recursion_luc,
 )
+from lucasnomial import coefficients
 from lucasnomial.poly import ONE, S, ZERO
 
 
@@ -121,3 +123,9 @@ def test_table_edges_are_one():
         assert triangle.entry(n, n) == ONE
         for k in range(n + 1):
             assert triangle.entry(n, k) == triangle.entry(n, n - k)
+
+
+def test_rec_luc_refuses_a_doubled_grid_with_an_odd_coefficient(monkeypatch):
+    monkeypatch.setattr(coefficients, "_doubled", lambda m, rest: ONE)
+    with pytest.raises(InternalParityError):
+        via_recursion_luc(3, 1)

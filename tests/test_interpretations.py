@@ -1,3 +1,4 @@
+import tracemalloc
 from math import prod
 
 import pytest
@@ -26,6 +27,10 @@ from lucasnomial import (
 )
 from lucasnomial import coefficients, interpretations
 from lucasnomial.interpretations import (
+    PAIR_BUDGET,
+    _lemma1_grid,
+    _recursion_grid,
+    _theorem_grid,
     recursion_cases,
     recursion_task_cases,
     theorem_cases,
@@ -277,3 +282,46 @@ def test_bad_arguments():
             recursion_task_cases(m, n)
     with pytest.raises(DomainError):
         verify_theorem(1, 1, flavor="spiral")
+
+
+@pytest.mark.parametrize("m, n", [(6, 6), (10, 3)])
+def test_gf_digit_width_is_the_bit_length_of_the_value_at_one(monkeypatch, m, n):
+    widths = []
+    pack = interpretations._pack
+
+    def recorded(poly, bits):
+        widths.append(bits)
+        return pack(poly, bits)
+
+    monkeypatch.setattr(interpretations, "_pack", recorded)
+    for fn in (rhs_linear, rhs_circular):
+        widths.clear()
+        rhs = fn(m, n)
+        assert set(widths) == {max(1, rhs.eval_int(1, 1).bit_length())}
+
+
+def test_predicted_count_on_the_edges_counts_no_tilings(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an edge of the grid counted tilings")
+
+    monkeypatch.setattr(interpretations, "_count", refuse)
+    for flavor in (LINEAR_PAIR, CIRCULAR_PAIR):
+        for m, n in ((0, 0), (0, 1000), (1000, 0)):
+            assert predicted_pair_count(m, n, flavor) == 1
+
+
+def test_verify_grids_are_streamed_not_built():
+    grids = (
+        lambda: _lemma1_grid(300, 300),
+        lambda: _recursion_grid(600),
+        lambda: _theorem_grid(300, 300, "both", "gf", PAIR_BUDGET),
+    )
+    for grid in grids:
+        tracemalloc.start()
+        try:
+            _, cases = grid()
+            assert next(cases).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000

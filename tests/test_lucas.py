@@ -1,3 +1,4 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -133,3 +134,30 @@ def test_concurrent_cache_extension_is_consistent():
     assert all(r == lucas_F(40) for r in results)
     # monotone: lower indices were filled on the way up
     assert cache.fib(39) == lucas_F(39)
+
+
+def test_each_sequence_grows_alone():
+    fresh = LucasCache()
+    assert fresh.fib(60) == lucas_F(60)
+    assert len(fresh._luc) == 2
+    fresh = LucasCache()
+    assert fresh.luc(60) == lucas_L(60)
+    assert len(fresh._fib) == 2
+
+
+def test_concurrent_mixed_growth_neither_deadlocks_nor_loses_entries():
+    # factorial() grows F before it takes the lock, which is not re-entrant
+    cache = LucasCache()
+    calls = [
+        (cache.factorial, lucas_factorial), (cache.fib, lucas_F), (cache.luc, lucas_L)
+    ] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(call, 30 + i) for i, (call, _) in enumerate(calls)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [ref(30 + i) for i, (_, ref) in enumerate(calls)]
+    assert cache._fact == [lucas_factorial(i) for i in range(len(cache._fact))]
