@@ -1,4 +1,6 @@
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -146,18 +148,31 @@ def test_each_sequence_grows_alone():
 
 
 def test_concurrent_mixed_growth_neither_deadlocks_nor_loses_entries():
-    # factorial() grows F before it takes the lock, which is not re-entrant
+    # factorial() grows F before it takes the lock, which is not re-entrant;
+    # daemon threads let a deadlock fail the test instead of hanging it
     cache = LucasCache()
     calls = [
         (cache.factorial, lucas_factorial), (cache.fib, lucas_F), (cache.luc, lucas_L)
     ] * 4
+    results = {}
+
+    def work(i, call):
+        results[i] = call(30 + i)
+
+    threads = [
+        threading.Thread(target=work, args=(i, call), daemon=True)
+        for i, (call, _) in enumerate(calls)
+    ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(call, 30 + i) for i, (call, _) in enumerate(calls)]
-            results = [f.result(timeout=60) for f in futures]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 60
+        for thread in threads:
+            thread.join(timeout=max(0, deadline - time.monotonic()))
     finally:
         sys.setswitchinterval(interval)
-    assert results == [ref(30 + i) for i, (_, ref) in enumerate(calls)]
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {i: ref(30 + i) for i, (_, ref) in enumerate(calls)}
     assert cache._fact == [lucas_factorial(i) for i in range(len(cache._fact))]
