@@ -139,8 +139,10 @@ def _cmd_lucasnomial(args) -> int:
 def _cmd_table(args) -> int:
     triangle = table(args.n)
     if args.format == "json":
-        doc = {"rows": [[p.to_json_dict() for p in row] for row in triangle.rows]}
-        print(json.dumps(doc))
+        # the bytes of json.dumps({"rows": ...}), built one row at a time: the
+        # whole document as Python objects outweighed the triangle itself
+        rows = (json.dumps([p.to_json_dict() for p in row]) for row in triangle.rows)
+        print('{"rows": [' + ", ".join(rows) + "]}")
         return 0
     joiner = " & " if args.format == "latex" else " | "
     for row in triangle.rows:
@@ -202,13 +204,16 @@ def _cmd_verify(args) -> int:
         else:
             rng, cases = _theorem_grid(*bounds, args.flavor, args.mode, args.budget)
 
-    collected = []
+    # only the failures are kept, so memory does not grow with the grid
+    checked, failures = 0, []
     for case in cases:
         if args.format == "text":
             print(case.line())
-        collected.append(case)
+        checked += 1
+        if not case.passed:
+            failures.append(case)
 
-    report = IdentityReport(args.kind, rng, tuple(collected))
+    report = IdentityReport(args.kind, rng, tuple(failures), checked - len(failures))
     if args.format == "json":
         print(json.dumps(report.to_dict()))
     else:

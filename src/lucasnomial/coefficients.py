@@ -3,11 +3,14 @@
 The quotient route divides the top min(k, n-k) factors of F(n)! by a
 factorial, which is exact because every factorial is monic in s under the
 division order.  The other two run Pascal-style recursions seeded by the two
-index-addition splits, over cells (m, rest) = (k, n-k); the companion-seeded
-one is carried as 2^(m+rest) times the target so the halved companions never
-appear.  The quotient route memoizes on (n, k) and each recursion on its own
-(m, rest) cells, so cross-route agreement is a genuine check rather than a
-tautology.
+index-addition splits, over cells (i, j) standing for C(i+j, i); the
+companion-seeded one is carried as 2^(i+j) times the target so the halved
+companions never appear.  A cell equals its mirror (j, i), so each recursion
+fills only the half i <= j of its rectangle, one row at a time, keeping just
+the row before: a target (n, k) costs one pass over min(k, n-k) rows and
+nothing outlives the call.  The quotient route memoizes on (n, k); the
+recursions share only the fill loop, never a cell or that memo, so
+cross-route agreement is a genuine check rather than a tautology.
 """
 
 from __future__ import annotations
@@ -35,24 +38,38 @@ def via_quotient(n: int, k: int) -> BivariatePolynomial:
     return top.exact_div(lucas_factorial(j))
 
 
-# Both recursion routes memoize on (m, rest) = (k, n - k) cells and fill the
-# whole rectangle below their target lowest first, so every cell finds its two
-# children cached and the recursion depth does not grow with n.
-def _grid(cell, m: int, rest: int) -> BivariatePolynomial:
-    for i in range(m + 1):
-        for j in range(rest + 1):
-            cell(i, j)
-    return cell(m, rest)
+def _rows(step, seed, m: int, stop):
+    """Rows i = 0..m of a symmetric Pascal-style recursion, row i holding the
+    cells (i, i), ..., (i, stop(i)); row 0 is seed(j), and every later cell is
+    step(i, j, up, left) of its neighbours (i-1, j) and (i, j-1).
+
+    Only the previous row is kept, and stop must not grow from row to row.
+    The left neighbour of (i, i) is read as its mirror (i-1, i)."""
+    row = [seed(j) for j in range(stop(0) + 1)]
+    yield row
+    for i in range(1, m + 1):
+        prev, left, row = row, row[1], []
+        for j in range(i, stop(i) + 1):
+            left = step(i, j, prev[j - i + 1], left)
+            row.append(left)
+        yield row
 
 
-@cache
-def _plain(m: int, rest: int) -> BivariatePolynomial:
+def _corner(step, seed, n: int, k: int) -> BivariatePolynomial:
+    # cell (m, rest) with m <= rest: the last cell of the last row
+    m, rest = sorted((k, n - k))
+    for row in _rows(step, seed, m, lambda i: rest):
+        pass
+    return row[-1]
+
+
+def _plain_step(i, j, up, left):
     # the coefficient itself; Pascal recursion of the plain split
-    if m == 0 or rest == 0:
-        return ONE
-    return lucas_F(rest + 1) * _plain(m - 1, rest) + T * lucas_F(m - 1) * _plain(
-        m, rest - 1
-    )
+    return lucas_F(j + 1) * up + T * lucas_F(i - 1) * left
+
+
+def _plain_seed(j):
+    return ONE
 
 
 @cache
@@ -60,22 +77,23 @@ def via_recursion_fib(n: int, k: int) -> BivariatePolynomial:
     """Pascal-style recursion seeded by the plain index-addition split."""
     if k < 0 or k > n:
         return ZERO
-    return _grid(_plain, k, n - k)
+    return _corner(_plain_step, _plain_seed, n, k)
 
 
-@cache
-def _doubled(m: int, rest: int) -> BivariatePolynomial:
-    # 2^(m+rest) times the coefficient; companion-weighted Pascal recursion
-    if m == 0 or rest == 0:
-        return BivariatePolynomial.const(1 << (m + rest))
-    return lucas_L(rest) * _doubled(m - 1, rest) + lucas_L(m) * _doubled(m, rest - 1)
+def _doubled_step(i, j, up, left):
+    # 2^(i+j) times the coefficient; companion-weighted Pascal recursion
+    return lucas_L(j) * up + lucas_L(i) * left
+
+
+def _doubled_seed(j):
+    return BivariatePolynomial.const(1 << j)
 
 
 def via_recursion_luc(n: int, k: int) -> BivariatePolynomial:
     """Companion-seeded recursion, rescaled back down from 2^n times."""
     if k < 0 or k > n:
         return ZERO
-    scaled = _grid(_doubled, k, n - k)
+    scaled = _corner(_doubled_step, _doubled_seed, n, k)
     try:
         return scaled.exact_div(BivariatePolynomial.const(1 << n))
     except IndivisibleError as exc:
@@ -101,13 +119,20 @@ class LucasnomialTable:
 
 
 def table(max_row: int) -> LucasnomialTable:
-    """Full triangle through the given row, spot-checked against the quotient
-    route on one entry per row plus the whole last row."""
+    """Full triangle through the given row, filled once by the rec-fib
+    recursion and spot-checked against the quotient route on one entry per
+    row plus the whole last row."""
     if max_row < 0:
         raise DomainError("row count must be nonnegative")
+    # the half i <= j of the triangle i + j <= N, as rows of cells (i, j)
+    half = list(_rows(_plain_step, _plain_seed, max_row // 2, lambda i: max_row - i))
+
+    def cell(n: int, k: int) -> BivariatePolynomial:
+        i = min(k, n - k)
+        return half[i][n - 2 * i]
+
     rows = tuple(
-        tuple(via_recursion_fib(n, k) for k in range(n + 1))
-        for n in range(max_row + 1)
+        tuple(cell(n, k) for k in range(n + 1)) for n in range(max_row + 1)
     )
     for n in range(max_row + 1):
         samples = range(n + 1) if n == max_row else (n // 2,)

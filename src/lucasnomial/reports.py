@@ -28,9 +28,14 @@ def _case(key: tuple, label: str, lhs, rhs) -> CaseResult:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """The cases of one verification run.  A streamed run may keep only its
+    failures in `cases` and count the passing cases it let go in
+    `passes_not_kept`; the summary and the JSON form read nothing else."""
+
     identity: str
     parameter_range: str
     cases: tuple[CaseResult, ...]
+    passes_not_kept: int = 0
 
     @property
     def failures(self) -> tuple[CaseResult, ...]:
@@ -42,7 +47,7 @@ class IdentityReport:
 
     @property
     def cases_checked(self) -> int:
-        return len(self.cases)
+        return len(self.cases) + self.passes_not_kept
 
     def summary(self) -> str:
         return (

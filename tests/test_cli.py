@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from pathlib import Path
@@ -16,6 +17,7 @@ from lucasnomial import (
     cli,
     interpretations,
     lucas_F,
+    lucas_L,
 )
 from lucasnomial.cli import main
 from lucasnomial.interpretations import PAIR_BUDGET
@@ -96,6 +98,8 @@ def test_table_json():
     assert BivariatePolynomial.from_json_dict(rows[3][1]) == BivariatePolynomial.parse(
         "s^2 + t"
     )
+    # written a row at a time, in the bytes of one json.dumps of the document
+    assert out == json.dumps({"rows": rows}) + "\n"
 
 
 def test_tilings_with_weights():
@@ -258,6 +262,50 @@ def test_verify_theorem_failure_exits_1(monkeypatch):
     )
     assert code == 1
     assert len(json.loads(out)["failures"]) == 4
+
+
+def test_verify_summary_counts_passes_it_does_not_keep(monkeypatch):
+    from lucasnomial.poly import S
+
+    # only the m = 0 column fails: C(n, 0) = 1, never S
+    real = interpretations.via_quotient
+    monkeypatch.setattr(
+        interpretations, "via_quotient", lambda n, k: S if k == 0 else real(n, k)
+    )
+    code, out, _ = run("verify", "theorem", "--m-max", "1", "--n-max", "1")
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "theorem: 8 cases over 0<=m<=1, 0<=n<=1, flavor=both, mode=gf, 4 failed"
+    )
+    code, out, _ = run(
+        "verify", "theorem", "--m-max", "1", "--n-max", "1", "--format", "json"
+    )
+    doc = json.loads(out)
+    assert code == 1
+    assert (doc["cases_checked"], doc["passed"]) == (8, False)
+    assert [f["case"] for f in doc["failures"]] == [
+        f"theorem {name} m=0 n={n} mode=gf"
+        for n in (0, 1)
+        for name in ("linear", "circular")
+    ]
+
+
+def test_verify_memory_does_not_grow_with_the_grid():
+    # each case is dropped once printed and counted, unless it failed: the
+    # 7320 cases at 60 x 60 once held 19 MB against 1.3 MB at 20 x 20
+    lucas_F(121), lucas_L(121)  # the sequence memo is not the run's to count
+
+    def peak(side):
+        tracemalloc.start()
+        try:
+            argv = ("verify", "lemma1", "--m-max", side, "--n-max", side)
+            assert run(*argv, "--format", "json")[0] == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak("20")
+    assert peak("60") < 3 * small
 
 
 def test_verify_prints_each_case_as_it_finishes(monkeypatch):

@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from collections import Counter
+
 import pytest
 
 from lucasnomial import (
@@ -5,6 +9,7 @@ from lucasnomial import (
     DomainError,
     InternalParityError,
     lucas_F,
+    lucas_L,
     table,
     via_quotient,
     via_recursion_fib,
@@ -69,12 +74,32 @@ def test_recursion_luc_examples():
     assert via_recursion_luc(520, 1) == lucas_F(520)
 
 
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", range(25))
 def test_three_methods_agree(n):
     for k in range(n + 1):
         q = via_quotient(n, k)
         assert via_recursion_fib(n, k) == q
         assert via_recursion_luc(n, k) == q
+
+
+@pytest.mark.parametrize("n, k", [(60, 28), (60, 32), (64, 30), (64, 34)])
+def test_three_methods_agree_at_the_benchmark_sizes(monkeypatch, n, k):
+    # either side of k fills the same mirror half, m rows of cells (i, i..rest)
+    # with m <= rest: 585 steps at (64, 30), where the whole rectangle took 1020
+    m, rest = sorted((k, n - k))
+    calls = Counter()
+    for name in ("_plain_step", "_doubled_step"):
+
+        def counted(*args, _name=name, _step=getattr(coefficients, name)):
+            calls[_name] += 1
+            return _step(*args)
+
+        monkeypatch.setattr(coefficients, name, counted)
+    q = via_quotient(n, k)
+    assert via_recursion_fib.__wrapped__(n, k) == q
+    assert via_recursion_luc(n, k) == q
+    steps = m * (rest + 1) - m * (m + 1) // 2
+    assert calls == {"_plain_step": steps, "_doubled_step": steps}
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -126,6 +151,50 @@ def test_table_edges_are_one():
 
 
 def test_rec_luc_refuses_a_doubled_grid_with_an_odd_coefficient(monkeypatch):
-    monkeypatch.setattr(coefficients, "_doubled", lambda m, rest: ONE)
+    # every filled cell becomes 1, so the corner is not divisible by 2^3
+    monkeypatch.setattr(coefficients, "_doubled_step", lambda i, j, up, left: ONE)
     with pytest.raises(InternalParityError):
         via_recursion_luc(3, 1)
+
+
+@pytest.mark.parametrize("m, rest", [(0, 0), (0, 5), (1, 1), (3, 7), (30, 34)])
+def test_fill_steps_once_per_cell_of_the_mirror_half(m, rest):
+    # rows i = 1..m each fill the cells (i, i..rest); row 0 is seeded
+    calls = []
+
+    def step(i, j, up, left):
+        calls.append((i, j))
+        return up + left
+
+    rows = list(coefficients._rows(step, lambda j: 1, m, lambda i: rest))
+    assert len(calls) == m * (rest + 1) - m * (m + 1) // 2
+    assert len(set(calls)) == len(calls)
+    assert all(i <= j for i, j in calls)
+    # with unit weights the cells are binomial coefficients
+    assert rows[-1][-1] == math.comb(m + rest, m)
+
+
+def test_rec_luc_memory_does_not_grow_with_its_rectangle():
+    # the whole rectangle at (64, 30) held some 10 MB; two rows hold well
+    # under 2 MB, and nothing is kept after the call
+    lucas_L(64)
+    tracemalloc.start()
+    try:
+        via_recursion_luc(64, 30)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    assert kept < 2**16, kept
+
+
+@pytest.mark.parametrize("max_row", range(15))
+def test_table_is_the_quotient_triangle_without_the_fib_route(monkeypatch, max_row):
+    def refuse(n, k):
+        raise AssertionError("table() went through via_recursion_fib")
+
+    monkeypatch.setattr(coefficients, "via_recursion_fib", refuse)
+    triangle = table(max_row)
+    for n in range(max_row + 1):
+        for k in range(n + 1):
+            assert triangle.entry(n, k) == via_quotient(n, k), (n, k)

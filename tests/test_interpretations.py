@@ -92,12 +92,15 @@ def test_gf_matches_quotient_on_larger_rectangles(m, n):
     assert rhs_circular(m, n) == expected * (1 << (m + n))
 
 
-def test_gf_walk_uses_no_recursion_memo():
-    # the walk must not route through the lattice-path recursion it checks
-    for memo in (coefficients._plain, coefficients.via_recursion_fib):
-        memo.cache_clear()
-    rhs_circular(6, 6)
-    assert coefficients._plain.cache_info().currsize == 0
+def test_gf_walk_uses_no_recursion_memo(monkeypatch):
+    # the walk must not route through the lattice-path recursion it checks:
+    # it never enters the recursions' row fill, nor the rec-fib memo
+    def refuse(*args):
+        raise AssertionError("the gf walk entered the recursion fill")
+
+    monkeypatch.setattr(coefficients, "_rows", refuse)
+    coefficients.via_recursion_fib.cache_clear()
+    assert rhs_circular(6, 6) == via_quotient(12, 6) * (1 << 12)
     assert coefficients.via_recursion_fib.cache_info().currsize == 0
 
 

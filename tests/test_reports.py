@@ -42,3 +42,11 @@ def test_json_document_round_trips():
     assert doc["identity"] == "demo"
     assert doc["cases_checked"] == 1
     assert BivariatePolynomial.parse(doc["failures"][0]["lhs"]) == S
+
+
+def test_a_streamed_report_counts_the_passes_it_let_go():
+    kept = IdentityReport("demo", "m=n=1", (_case(False),), passes_not_kept=2)
+    whole = IdentityReport("demo", "m=n=1", (_case(True), _case(False), _case(True)))
+    assert kept.cases_checked == whole.cases_checked == 3
+    assert kept.summary() == whole.summary() == "demo: 3 cases over m=n=1, 1 failed"
+    assert kept.to_dict() == whole.to_dict()
