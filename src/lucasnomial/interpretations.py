@@ -7,9 +7,18 @@ touching the partition boundary) and reproduces the coefficient itself; the
 circular flavor allows wrap dominoes everywhere, gives every empty part the
 weight-2 empty tiling, and reproduces 2^(m+n) times the coefficient.
 
-Each sum can be evaluated two ways: `enumerate` materializes every tiling
-pair, `gf` multiplies per-part closed forms.  Enumeration is refused above a
+Each sum can be evaluated two ways: `enumerate` visits every tiling pair,
+`gf` multiplies per-part closed forms.  Enumeration is refused above a
 configurable predicted-pair budget.
+
+The enumerate sum builds no TilingPair.  For each partition it checks each
+row and column pool once, by the rule TilingPair applies, and turns it into
+a list of integer codes, one per tiling, with the exponent fields wide
+enough that adding m + n codes never carries.  Each pair is the sum of one
+code from each list, every pair is visited once, and pairs are counted by
+code.  It is never collapsed into a product of per-pool sums, which would
+make it a restatement of the gf closed forms.  iter_pairs still lists the
+pair objects, and the tests check the sum against them.
 
 The gf sum walks each partition as its boundary lattice path from (0, 0) to
 (n, m), depth first.  At column x with h rows placed, an up step places a row
@@ -39,6 +48,7 @@ with the quotient route.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -77,28 +87,38 @@ class TilingPair:
     def __post_init__(self) -> None:
         if self.flavor not in (LINEAR_PAIR, CIRCULAR_PAIR):
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        kind = LINEAR if self.flavor == LINEAR_PAIR else CIRCULAR
-        for t in self.row_tilings + self.col_tilings:
-            if t.kind != kind:
-                raise ValueError(f"{self.flavor} pair holds a {t.kind} tiling")
-        if self.flavor == LINEAR_PAIR:
-            for t in self.col_tilings:
-                if t.tiles and t.tiles[0] == MONO:
-                    raise ValueError("column tilings must not begin with a monomino")
+        # checked and weighed in one pass; a plain attribute, not a field, so
+        # equality, hashing and repr see only the tilings and the flavor
+        a = b = 0
+        c = 1
+        for tilings, columns in ((self.row_tilings, False), (self.col_tilings, True)):
+            for ta, tb, tc in _checked_exponents(tilings, self.flavor, columns):
+                a += ta
+                b += tb
+                c *= tc
+        object.__setattr__(self, "_exponents", (a, b, c))
 
     def weight(self) -> BivariatePolynomial:
         a, b, c = self.weight_exponents()
         return BivariatePolynomial.monomial(a, b, c)
 
     def weight_exponents(self) -> tuple[int, int, int]:
-        a = b = 0
-        c = 1
-        for t in self.row_tilings + self.col_tilings:
-            ta, tb, tc = t.weight_exponents()
-            a += ta
-            b += tb
-            c *= tc
-        return a, b, c
+        return self._exponents
+
+
+def _checked_exponents(tilings, flavor: str, columns: bool):
+    """Yield the weight exponents of each tiling, once it is checked to fit
+    a flavor pair as a row (columns false) or complement column: its kind
+    matches the flavor, and a linear column tiling does not begin with a
+    monomino."""
+    kind = LINEAR if flavor == LINEAR_PAIR else CIRCULAR
+    nolead = columns and flavor == LINEAR_PAIR
+    for t in tilings:
+        if t.kind != kind:
+            raise ValueError(f"{flavor} pair holds a {t.kind} tiling")
+        if nolead and t.tiles and t.tiles[0] == MONO:
+            raise ValueError("column tilings must not begin with a monomino")
+        yield t.weight_exponents()
 
 
 def _pair_kinds(flavor: str) -> tuple[str, str]:
@@ -181,6 +201,51 @@ def _gf_sum(m: int, n: int, flavor: str) -> BivariatePolynomial:
     return _unpack(acc, m * n, bits)
 
 
+def _code_width(m: int, n: int) -> int:
+    """Bits per exponent field of a pair code.  A pair's s-power counts
+    monominoes and its t-power dominoes, so neither exceeds m*n, and a field
+    this wide holds either sum without carrying into the next."""
+    return (m * n).bit_length() + 1
+
+
+def _pool_codes(pool, flavor: str, columns: bool, width: int) -> list[int]:
+    # a tiling's weight s^a t^b c, with c 1 or 2, packed as one integer so
+    # that a pair's code is the sum of its tilings' codes
+    return [
+        a + (b << width) + ((c == 2) << 2 * width)
+        for a, b, c in _checked_exponents(pool, flavor, columns)
+    ]
+
+
+def _code_counts(m: int, n: int, flavor: str, width: int) -> Counter:
+    """How many tiling pairs have each packed weight code, visiting every
+    pair of every partition once; the counts total the number of pairs."""
+    row_kind, col_kind = _pair_kinds(flavor)
+    counts: Counter = Counter()
+    for part in enumerate_in_rect(m, n):
+        pools = [
+            _pool_codes(_tiling_pool(row_kind, p), flavor, False, width)
+            for p in part.parts
+        ]
+        pools += [
+            _pool_codes(_tiling_pool(col_kind, p), flavor, True, width)
+            for p in part.complement().parts
+        ]
+        counts.update(map(sum, product(*pools)))
+    return counts
+
+
+def _enumerate_sum(m: int, n: int, flavor: str) -> BivariatePolynomial:
+    width = _code_width(m, n)
+    mask = (1 << width) - 1
+    acc: dict[tuple[int, int], int] = {}
+    for code, count in _code_counts(m, n, flavor, width).items():
+        # the top field counts the pair's weight-2 tilings
+        key = (code & mask, (code >> width) & mask)
+        acc[key] = acc.get(key, 0) + (count << (code >> 2 * width))
+    return BivariatePolynomial(acc)
+
+
 def _check_budget(m: int, n: int, flavor: str, budget: int) -> None:
     predicted = predicted_pair_count(m, n, flavor)
     if predicted > budget:
@@ -197,11 +262,7 @@ def _rhs(m: int, n: int, flavor: str, mode: str, budget: int) -> BivariatePolyno
         return _gf_sum(m, n, flavor)
     if mode == "enumerate":
         _check_budget(m, n, flavor, budget)
-        acc: dict[tuple[int, int], int] = {}
-        for _, pair in iter_pairs(m, n, flavor):
-            a, b, c = pair.weight_exponents()
-            acc[(a, b)] = acc.get((a, b), 0) + c
-        return BivariatePolynomial(acc)
+        return _enumerate_sum(m, n, flavor)
     raise DomainError(f"unknown mode {mode!r}")
 
 

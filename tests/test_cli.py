@@ -348,7 +348,9 @@ def test_over_budget_grid_is_refused_before_any_case(monkeypatch):
     def refuse(*args):
         raise AssertionError("a case ran before the grid's budget check")
 
-    monkeypatch.setattr(interpretations, "iter_pairs", refuse)
+    # the enumerate sum runs through _code_counts; iter_pairs lists pairs
+    for name in ("_code_counts", "iter_pairs"):
+        monkeypatch.setattr(interpretations, name, refuse)
     code, out, err = run(
         "verify", "theorem", "--m-max", "9", "--n-max", "9", "--mode", "enumerate"
     )

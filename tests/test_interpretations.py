@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from math import prod
 
@@ -7,12 +8,16 @@ from lucasnomial import (
     BivariatePolynomial,
     CIRCULAR,
     CIRCULAR_PAIR,
+    DOMINO,
     DomainError,
     FIBONOMIAL,
     LINEAR,
     LINEAR_NOLEAD,
     LINEAR_PAIR,
+    MONO,
     ResourceError,
+    Tiling,
+    TilingPair,
     enumerate_in_rect,
     enumerate_tilings,
     gf,
@@ -28,6 +33,7 @@ from lucasnomial import (
 from lucasnomial import coefficients, interpretations
 from lucasnomial.interpretations import (
     PAIR_BUDGET,
+    _code_width,
     _lemma1_grid,
     _recursion_grid,
     _theorem_grid,
@@ -145,6 +151,103 @@ def test_pair_validation(rect_pair_linear):
         # kinds must match the flavor
         TilingPair(rect_pair_linear.row_tilings, rect_pair_linear.col_tilings,
                    CIRCULAR_PAIR)
+
+
+def test_pair_weight_is_stored_not_a_field(rect_pair_linear):
+    pair = rect_pair_linear
+    assert [f.name for f in dataclasses.fields(TilingPair)] == [
+        "row_tilings", "col_tilings", "flavor"
+    ]
+    assert repr(pair).startswith("TilingPair(row_tilings=(Tiling(kind='linear'")
+    assert repr(pair).endswith("flavor='linear_pair')")
+    twin = TilingPair(pair.row_tilings, pair.col_tilings, LINEAR_PAIR)
+    assert pair == twin and hash(pair) == hash(twin)
+    assert hash(pair) == hash((pair.row_tilings, pair.col_tilings, LINEAR_PAIR))
+    assert pair != TilingPair(pair.row_tilings[1:], pair.col_tilings, LINEAR_PAIR)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.flavor = CIRCULAR_PAIR
+
+
+@pytest.fixture
+def pair_totals(monkeypatch):
+    """Records how many pairs each enumerate-mode sum visits."""
+    totals = []
+    code_counts = interpretations._code_counts
+
+    def record(*args):
+        counts = code_counts(*args)
+        totals.append(sum(counts.values()))
+        return counts
+
+    monkeypatch.setattr(interpretations, "_code_counts", record)
+    return totals
+
+
+def pair_sum(m, n, flavor):
+    """The enumerate-mode sum the slow way, over every TilingPair object."""
+    acc = {}
+    for _, pair in iter_pairs(m, n, flavor):
+        a, b, c = pair.weight_exponents()
+        acc[(a, b)] = acc.get((a, b), 0) + c
+    return BivariatePolynomial(acc)
+
+
+@pytest.mark.parametrize(
+    "m, n, flavor",
+    [(m, n, f) for m in range(5) for n in range(5) for f in (LINEAR_PAIR, CIRCULAR_PAIR)]
+    + [(5, 5, LINEAR_PAIR)],
+)
+def test_enumerate_sum_matches_the_pair_objects(m, n, flavor, pair_totals):
+    fn = rhs_linear if flavor == LINEAR_PAIR else rhs_circular
+    assert fn(m, n, mode="enumerate") == pair_sum(m, n, flavor)
+    assert pair_totals == [predicted_pair_count(m, n, flavor)]
+
+
+def test_enumerate_sum_near_the_budget(pair_totals):
+    # 6,324,552 pairs, all visited
+    assert rhs_linear(3, 11, mode="enumerate") == via_quotient(14, 3)
+    assert pair_totals == [predicted_pair_count(3, 11, LINEAR_PAIR)] == [6324552]
+
+
+def _odd_pool(kind, length):
+    return (Tiling(CIRCULAR if kind == LINEAR else LINEAR, (DOMINO,) * length),)
+
+
+def _leading_monomino_pool(kind, length):
+    if kind == LINEAR_NOLEAD and length:
+        return (Tiling(LINEAR, (MONO,) * length),)
+    return enumerate_tilings(kind, length)
+
+
+@pytest.mark.parametrize(
+    "pool, fn, message",
+    [
+        (_odd_pool, rhs_linear, "linear_pair pair holds a circular tiling"),
+        (_odd_pool, rhs_circular, "circular_pair pair holds a linear tiling"),
+        (_leading_monomino_pool, rhs_linear, "must not begin with a monomino"),
+    ],
+)
+def test_enumerate_sum_checks_every_pool(monkeypatch, pool, fn, message):
+    monkeypatch.setattr(interpretations, "_tiling_pool", pool)
+    with pytest.raises(ValueError, match=message):
+        fn(2, 2, mode="enumerate")
+
+
+def test_code_width_holds_at_the_largest_rectangle_in_budget():
+    # every cell the budget lets through, m first; past its edges a cell
+    # holds at least as many pairs as its left or lower neighbour
+    largest = 0
+    for flavor in (LINEAR_PAIR, CIRCULAR_PAIR):
+        m = 1
+        while predicted_pair_count(m, 1, flavor) <= PAIR_BUDGET:
+            n = 1
+            while predicted_pair_count(m, n, flavor) <= PAIR_BUDGET:
+                # a pair of all monominoes fills the s-field the most
+                assert m * n < 1 << _code_width(m, n)
+                largest = max(largest, m * n)
+                n += 1
+            m += 1
+    assert largest == 34  # the linear 1 x 34 and 34 x 1
 
 
 @pytest.mark.parametrize("flavor", [LINEAR_PAIR, CIRCULAR_PAIR])
