@@ -2,25 +2,37 @@
 
 The quotient route divides the top min(k, n-k) factors of F(n)! by a
 factorial, which is exact because every factorial is monic in s under the
-division order.  The other two run Pascal-style recursions seeded by the two
-index-addition splits, over cells (i, j) standing for C(i+j, i); the
-companion-seeded one is carried as 2^(i+j) times the target so the halved
-companions never appear.  A cell equals its mirror (j, i), so each recursion
-fills only the half i <= j of its rectangle, one row at a time, keeping just
-the row before: a target (n, k) costs one pass over min(k, n-k) rows and
-nothing outlives the call.  The quotient route memoizes on (n, k); the
-recursions share only the fill loop, never a cell or that memo, so
+division order.
+
+The other two run Pascal-style recursions seeded by the two index-addition
+splits, over cells (i, j) standing for C(i+j, i), in the x, y basis of
+s = x + y, t = -xy.  There F(j) = (x^j - y^j)/(x - y) and L(j) = x^j + y^j,
+and every cell is a symmetric form in x and y whose coefficients are
+nonnegative and at most binomial(i+j, i).  So each cell is one Python int,
+its x, y form at x = 2^B, y = 1, with 2^B above binomial(n, k) for the target
+(n, k): a step is a few shifts and adds, plus, for the plain split, one
+exact division by x - y = 2^B - 1, a divisor a few machine words long.  The
+companion-seeded recursion carries each cell as 2^(i+j) times the target, so
+the halved companions never appear and its step is shifts and adds alone.
+
+A cell equals its mirror (j, i), so each recursion fills only the half
+i <= j of its rectangle, one row at a time, keeping just the row before: a
+target costs one pass over min(k, n-k) rows and nothing outlives the call.
+Only the corner is converted back to s and t (_from_xy).  The quotient route
+memoizes on (n, k); the recursions share only the fill loop, never a cell or
+that memo, and call no Lucas polynomial or polynomial product, so
 cross-route agreement is a genuine check rather than a tautology.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 from .errors import DomainError, IndivisibleError, InternalParityError
-from .lucas import lucas_F, lucas_L, lucas_factorial
-from .poly import BivariatePolynomial, ONE, T, ZERO
+from .lucas import lucas_F, lucas_factorial
+from .poly import BivariatePolynomial, ONE, T, ZERO, _digits, _unpack
 
 
 @cache
@@ -55,7 +67,7 @@ def _rows(step, seed, m: int, stop):
         yield row
 
 
-def _corner(step, seed, n: int, k: int) -> BivariatePolynomial:
+def _corner(step, seed, n: int, k: int):
     # cell (m, rest) with m <= rest: the last cell of the last row
     m, rest = sorted((k, n - k))
     for row in _rows(step, seed, m, lambda i: rest):
@@ -72,34 +84,90 @@ def _plain_seed(j):
     return ONE
 
 
+def _byte_width(bound: int) -> int:
+    # the bits of the fewest whole bytes that hold 0..bound, so that
+    # int.to_bytes splits digits of that width in linear time
+    return -(-bound.bit_length() // 8) * 8
+
+
+def _fib_step(bits, i, j, up, left):
+    # the plain split times x - y, at x = 2^bits, y = 1:
+    # (x - y)*C = (x^(j+1) - y^(j+1))*up + t*(x^(i-1) - y^(i-1))*left.
+    # 2^bits - 1 divides each 2^(bits*q) - 1, so a remainder means the
+    # shifts and subtractions below no longer pair up
+    cell, rem = divmod(
+        (up << bits * (j + 1)) - up - (((left << bits * (i - 1)) - left) << bits),
+        (1 << bits) - 1,
+    )
+    if rem:
+        raise IndivisibleError(f"the packed cell ({i}, {j}) is not divisible by x - y")
+    return cell
+
+
+def _luc_step(bits, i, j, up, left):
+    # 2^(i+j) times the coefficient: L(j)*up + L(i)*left, L(0) = 2 a doubling
+    return (up << bits * j) + up + (left << bits * i) + left
+
+
+def _companion_sum(half: list[int], weight: int, bits: int) -> int:
+    """The sum over r of (-t)^r*half[r]*L(weight - 2r), with L(0) read as 1,
+    at s = 1 and t = 2^bits.
+
+    By Clenshaw's recurrence b(m) = d(m) + b(m+1) + t*b(m+2), m = weight..1,
+    where d(weight - 2r) is the r-th term's factor (-t)^r*half[r]: the sum
+    over m >= 1 is L(1)*b(1) + t*L(0)*b(2), so no L(m) is ever formed and
+    every step only shifts and adds."""
+
+    def factor(r):
+        d = half[r] << bits * r
+        return -d if r % 2 else d
+
+    b1 = b2 = 0
+    for m in range(weight, 0, -1):
+        b1, b2 = b1 + (b2 << bits), b1
+        if (weight - m) % 2 == 0:
+            b1 += factor((weight - m) // 2)
+    total = b1 + (b2 << bits + 1)
+    return total + factor(weight // 2) if weight % 2 == 0 else total
+
+
+def _from_xy(half: list[int], weight: int) -> BivariatePolynomial:
+    """The (s, t) form of the symmetric x, y form of the given weight whose
+    coefficients of x^r*y^(weight-r), r = 0..weight//2, are half.
+
+    Pairing x^r*y^(w-r) with its mirror gives (-t)^r*L(w-2r), and the middle
+    monomial of an even weight is (-t)^(w/2) alone.  The sum is taken at
+    s = t = 1 to size the digits, then at s = 1, t = 2^bits and unpacked, so
+    the (s, t) coefficients must be nonnegative, as every lucasnomial's are."""
+    if len(half) != weight // 2 + 1:
+        raise ValueError(f"{len(half)} digits are not half an x, y form of weight {weight}")
+    bits = _byte_width(_companion_sum(half, weight, 0))
+    return _unpack(_companion_sum(half, weight, bits), weight, bits)
+
+
 @cache
 def via_recursion_fib(n: int, k: int) -> BivariatePolynomial:
     """Pascal-style recursion seeded by the plain index-addition split."""
     if k < 0 or k > n:
         return ZERO
-    return _corner(_plain_step, _plain_seed, n, k)
-
-
-def _doubled_step(i, j, up, left):
-    # 2^(i+j) times the coefficient; companion-weighted Pascal recursion
-    return lucas_L(j) * up + lucas_L(i) * left
-
-
-def _doubled_seed(j):
-    return BivariatePolynomial.const(1 << j)
+    bits = _byte_width(math.comb(n, k))
+    corner = _corner(partial(_fib_step, bits), lambda j: 1, n, k)
+    weight = k * (n - k)
+    return _from_xy(_digits(corner, bits)[: weight // 2 + 1], weight)
 
 
 def via_recursion_luc(n: int, k: int) -> BivariatePolynomial:
     """Companion-seeded recursion, rescaled back down from 2^n times."""
     if k < 0 or k > n:
         return ZERO
-    scaled = _corner(_doubled_step, _doubled_seed, n, k)
-    try:
-        return scaled.exact_div(BivariatePolynomial.const(1 << n))
-    except IndivisibleError as exc:
+    bits = _byte_width(math.comb(n, k) << n)
+    digits = _digits(_corner(partial(_luc_step, bits), lambda j: 1 << j, n, k), bits)
+    if any(d & ((1 << n) - 1) for d in digits):
         raise InternalParityError(
             f"the doubled coefficient ({n}, {k}) is not divisible by 2^{n}"
-        ) from exc
+        )
+    weight = k * (n - k)
+    return _from_xy([d >> n for d in digits[: weight // 2 + 1]], weight)
 
 
 @dataclass(frozen=True)
@@ -119,9 +187,14 @@ class LucasnomialTable:
 
 
 def table(max_row: int) -> LucasnomialTable:
-    """Full triangle through the given row, filled once by the rec-fib
+    """Full triangle through the given row, filled once by the plain split's
     recursion and spot-checked against the quotient route on one entry per
-    row plus the whole last row."""
+    row plus the whole last row.
+
+    Unlike via_recursion_fib it fills in s and t, with polynomial products:
+    it needs every cell in (s, t) form, and converting each packed x, y cell
+    back costs more than the dense fill: at N = 60 the dense fill took
+    0.62 s, a packed fill decoded cell by cell 2.5 s."""
     if max_row < 0:
         raise DomainError("row count must be nonnegative")
     # the half i <= j of the triangle i + j <= N, as rows of cells (i, j)

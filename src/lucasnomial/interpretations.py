@@ -343,7 +343,11 @@ def _theorem_grid(m_max: int, n_max: int, flavor: str, mode: str, budget: int):
     pair_flavors = _pair_flavors(flavor)
     _check_bounds(m_max, n_max)
     if mode == "enumerate":
-        for m, n in _rect(0, m_max, n_max):
+        # an edge cell (m or n = 0) holds exactly one pair, so it is over the
+        # budget only when the first cell, (0, 0), already is; past that
+        # only the interior is priced, and a long edge is never walked
+        interior = ((m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1))
+        for m, n in [(0, 0)] if budget < 1 else interior:
             for pair_flavor in pair_flavors:
                 _check_budget(m, n, pair_flavor, budget)
     cases = (

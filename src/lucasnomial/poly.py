@@ -309,15 +309,27 @@ def _unpack(value: int, weight: int, bits: int) -> BivariatePolynomial:
     2^bits, are the base-2^bits digits of value; the inverse of _pack."""
     if value < 0:
         raise ValueError("a packed polynomial is nonnegative")
-    mask, run = (1 << bits) - 1, []
-    while value:
-        run.append(value & mask)
-        value >>= bits
+    run = _digits(value, bits)
     if len(run) > weight // 2 + 1:
         raise ValueError(f"{len(run)} digits do not fit grade {weight}")
     runs: dict[int, tuple[int, list[int]]] = {}
     _add_run(runs, weight, 0, run)
     return BivariatePolynomial._from_runs(runs)
+
+
+def _digits(value: int, bits: int) -> list[int]:
+    """The base-2^bits digits of value >= 0, lowest first, through its top
+    nonzero one.  A width of whole bytes is split off value.to_bytes in
+    linear time; any other width is shifted off one digit at a time, which
+    is quadratic in the digit count."""
+    if bits % 8 or not value:
+        mask, run = (1 << bits) - 1, []
+        while value:
+            run.append(value & mask)
+            value >>= bits
+        return run
+    size, raw = bits // 8, value.to_bytes((value.bit_length() + 7) // 8, "little")
+    return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
 
 
 def _render_terms(terms, latex: bool) -> str:

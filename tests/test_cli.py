@@ -362,7 +362,7 @@ def test_over_budget_grid_is_refused_before_any_case(monkeypatch):
 
 
 def test_enumerate_refusal_names_the_first_case_past_a_long_edge():
-    # the 1001 cells of the m = 0 edge are priced first, each at one pair
+    # the 1001 cells of the m = 0 edge hold one pair each and are not priced
     code, out, err = run(
         "verify", "theorem", "--m-max", "1", "--n-max", "1000", "--mode", "enumerate"
     )

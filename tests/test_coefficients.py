@@ -3,6 +3,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lucasnomial import (
     BivariatePolynomial,
@@ -15,7 +16,7 @@ from lucasnomial import (
     via_recursion_fib,
     via_recursion_luc,
 )
-from lucasnomial import coefficients
+from lucasnomial import coefficients, lucas
 from lucasnomial.poly import ONE, S, ZERO
 
 
@@ -88,7 +89,7 @@ def test_three_methods_agree_at_the_benchmark_sizes(monkeypatch, n, k):
     # with m <= rest: 585 steps at (64, 30), where the whole rectangle took 1020
     m, rest = sorted((k, n - k))
     calls = Counter()
-    for name in ("_plain_step", "_doubled_step"):
+    for name in ("_fib_step", "_luc_step"):
 
         def counted(*args, _name=name, _step=getattr(coefficients, name)):
             calls[_name] += 1
@@ -99,7 +100,7 @@ def test_three_methods_agree_at_the_benchmark_sizes(monkeypatch, n, k):
     assert via_recursion_fib.__wrapped__(n, k) == q
     assert via_recursion_luc(n, k) == q
     steps = m * (rest + 1) - m * (m + 1) // 2
-    assert calls == {"_plain_step": steps, "_doubled_step": steps}
+    assert calls == {"_fib_step": steps, "_luc_step": steps}
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -152,7 +153,7 @@ def test_table_edges_are_one():
 
 def test_rec_luc_refuses_a_doubled_grid_with_an_odd_coefficient(monkeypatch):
     # every filled cell becomes 1, so the corner is not divisible by 2^3
-    monkeypatch.setattr(coefficients, "_doubled_step", lambda i, j, up, left: ONE)
+    monkeypatch.setattr(coefficients, "_luc_step", lambda bits, i, j, up, left: 1)
     with pytest.raises(InternalParityError):
         via_recursion_luc(3, 1)
 
@@ -198,3 +199,71 @@ def test_table_is_the_quotient_triangle_without_the_fib_route(monkeypatch, max_r
     for n in range(max_row + 1):
         for k in range(n + 1):
             assert triangle.entry(n, k) == via_quotient(n, k), (n, k)
+
+
+@st.composite
+def nonnegative_forms(draw, max_weight: int = 40):
+    """(weight, polynomial): a weight-homogeneous (s, t) form with
+    coefficients in [0, 10^30]."""
+    w = draw(st.integers(0, max_weight))
+    cs = draw(st.dictionaries(st.integers(0, w // 2), st.integers(0, 10**30)))
+    return w, BivariatePolynomial({(w - 2 * b, b): c for b, c in cs.items()})
+
+
+def xy_half(poly: BivariatePolynomial, weight: int) -> list[int]:
+    # s^a*t^b = (x + y)^a*(-xy)^b puts (-1)^b*C(a, r - b) on x^r*y^(weight-r)
+    half = [0] * (weight // 2 + 1)
+    for a, b, c in poly.terms():
+        for r in range(b, min(a + b, weight // 2) + 1):
+            half[r] += (-1) ** b * math.comb(a, r - b) * c
+    return half
+
+
+@given(nonnegative_forms())
+def test_from_xy_inverts_the_expansion_into_x_and_y(drawn):
+    w, p = drawn
+    assert coefficients._from_xy(xy_half(p, w), w) == p
+
+
+def test_from_xy_refuses_a_digit_string_past_half_the_weight():
+    assert coefficients._from_xy([1, 0], 2) == P("s^2 + 2*t")
+    with pytest.raises(ValueError, match="not half"):
+        coefficients._from_xy([1, 0, 1], 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_recursions_match_the_quotient_route_at_random_sizes(size):
+    n, k = size
+    q = via_quotient(n, k)
+    assert via_recursion_fib.__wrapped__(n, k) == q
+    assert via_recursion_luc(n, k) == q
+
+
+@pytest.mark.parametrize(
+    "n, k", [(0, 0), (1, 0), (9, 0), (9, 9), (40, 40), (1100, 1099), (300, 3)]
+)
+def test_recursions_match_the_quotient_route_at_the_edges(n, k):
+    q = via_quotient(n, k)
+    assert via_recursion_fib.__wrapped__(n, k) == q
+    assert via_recursion_luc(n, k) == q
+
+
+def test_recursions_form_no_lucas_polynomial_or_product(monkeypatch):
+    expected = via_quotient(30, 14)
+
+    def refuse(*args):
+        raise AssertionError("a recursion route formed a polynomial product")
+
+    for owner, name in (
+        (coefficients, "lucas_F"),
+        (lucas, "lucas_F"),
+        (lucas, "lucas_L"),
+        (lucas.LucasCache, "fib"),
+        (lucas.LucasCache, "luc"),
+        (BivariatePolynomial, "__mul__"),
+        (BivariatePolynomial, "__rmul__"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    assert via_recursion_fib.__wrapped__(30, 14) == expected
+    assert via_recursion_luc(30, 14) == expected

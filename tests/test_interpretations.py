@@ -416,6 +416,34 @@ def test_predicted_count_on_the_edges_counts_no_tilings(monkeypatch):
             assert predicted_pair_count(m, n, flavor) == 1
 
 
+def test_enumerate_pre_scan_prices_no_edge_cell_within_a_budget(monkeypatch):
+    calls = []
+    count = interpretations.predicted_pair_count
+
+    def counted(m, n, flavor):
+        calls.append((m, n))
+        return count(m, n, flavor)
+
+    monkeypatch.setattr(interpretations, "predicted_pair_count", counted)
+    # a 10^9-long m = 0 edge is skipped: the row m = 1 is refused at n = 32
+    with pytest.raises(ResourceError, match=r"^enumeration of \(1, 32\) circular_pair"):
+        _theorem_grid(1, 10**9, "both", "enumerate", PAIR_BUDGET)
+    assert calls == [(1, n) for n in range(1, 33) for _ in range(2)]
+    # under a budget of 0 even an edge cell is over it, and (0, 0) comes first
+    calls.clear()
+    with pytest.raises(ResourceError) as refused:
+        _theorem_grid(1, 10**9, "both", "enumerate", 0)
+    assert str(refused.value) == (
+        "enumeration of (0, 0) linear_pair predicts 1 tiling pairs, "
+        "over the budget of 0; use gf mode"
+    )
+    assert calls == [(0, 0)]
+    # a grid of edges alone is priced not at all, and runs
+    calls.clear()
+    _, cases = _theorem_grid(0, 3, "both", "enumerate", 1)
+    assert calls == [] and all(c.passed for c in cases)
+
+
 def test_verify_grids_are_streamed_not_built():
     grids = (
         lambda: _lemma1_grid(300, 300),

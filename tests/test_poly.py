@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lucasnomial import BivariatePolynomial, IndivisibleError, UnivariatePolynomial
-from lucasnomial.poly import ONE, S, T, ZERO, _pack, _unpack
+from lucasnomial.poly import ONE, S, T, ZERO, _digits, _pack, _unpack
 
 
 def P(text: str) -> BivariatePolynomial:
@@ -420,3 +420,13 @@ def test_pack_refuses_what_it_cannot_carry():
 def test_zero_packs_to_zero():
     assert _pack(ZERO, 5) == 0
     assert _unpack(0, 7, 5) == ZERO
+
+
+@given(st.lists(st.integers(0, 2**100)), st.sampled_from([1, 7, 8, 16, 90, 96, 104]))
+def test_digits_split_any_width(digits, bits):
+    # whole-byte widths go through to_bytes, the others one shift at a time
+    digits = [d % (1 << bits) for d in digits]
+    while digits and not digits[-1]:
+        digits.pop()
+    value = sum(d << bits * i for i, d in enumerate(digits))
+    assert _digits(value, bits) == digits
