@@ -239,7 +239,12 @@ def _cmd_specialize(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argv was parsed under the cap on the digits of int text (Python 3.10.7
+    # on); the command runs without it, so exact values of any size print
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        if cap is not None:
+            sys.set_int_max_str_digits(0)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -254,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 def entry() -> None:

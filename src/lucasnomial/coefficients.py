@@ -12,8 +12,8 @@ nonnegative and at most binomial(i+j, i).  So each cell is one Python int,
 its x, y form at x = 2^B, y = 1, with 2^B above binomial(n, k) for the target
 (n, k): a step is a few shifts and adds, plus, for the plain split, one
 exact division by x - y = 2^B - 1, a divisor a few machine words long.  The
-companion-seeded recursion carries each cell as 2^(i+j) times the target, so
-the halved companions never appear and its step is shifts and adds alone.
+companion-seeded recursion doubles each cell, so its step is shifts and adds
+and one checked halving, and its digits need one bit more than binomial(n, k).
 
 A cell equals its mirror (j, i), so each recursion fills only the half
 i <= j of its rectangle, one row at a time, keeping just the row before: a
@@ -80,10 +80,6 @@ def _plain_step(i, j, up, left):
     return lucas_F(j + 1) * up + T * lucas_F(i - 1) * left
 
 
-def _plain_seed(j):
-    return ONE
-
-
 def _byte_width(bound: int) -> int:
     # the bits of the fewest whole bytes that hold 0..bound, so that
     # int.to_bytes splits digits of that width in linear time
@@ -104,9 +100,13 @@ def _fib_step(bits, i, j, up, left):
     return cell
 
 
-def _luc_step(bits, i, j, up, left):
-    # 2^(i+j) times the coefficient: L(j)*up + L(i)*left, L(0) = 2 a doubling
-    return (up << bits * j) + up + (left << bits * i) + left
+def _luc_step(bits, lows, i, j, up, left):
+    # twice the coefficient is L(j)*up + L(i)*left; lows has a 1 at the
+    # bottom of every digit, so an odd digit shows in the doubled cell & lows
+    doubled = (up << bits * j) + up + (left << bits * i) + left
+    if doubled & lows:
+        raise InternalParityError(f"the doubled cell ({i}, {j}) has an odd digit")
+    return doubled >> 1
 
 
 def _companion_sum(half: list[int], weight: int, bits: int) -> int:
@@ -157,17 +157,15 @@ def via_recursion_fib(n: int, k: int) -> BivariatePolynomial:
 
 
 def via_recursion_luc(n: int, k: int) -> BivariatePolynomial:
-    """Companion-seeded recursion, rescaled back down from 2^n times."""
+    """Companion-seeded recursion, each doubled cell halved in its step."""
     if k < 0 or k > n:
         return ZERO
-    bits = _byte_width(math.comb(n, k) << n)
-    digits = _digits(_corner(partial(_luc_step, bits), lambda j: 1 << j, n, k), bits)
-    if any(d & ((1 << n) - 1) for d in digits):
-        raise InternalParityError(
-            f"the doubled coefficient ({n}, {k}) is not divisible by 2^{n}"
-        )
+    bits = _byte_width(math.comb(n, k) << 1)
     weight = k * (n - k)
-    return _from_xy([d >> n for d in digits[: weight // 2 + 1]], weight)
+    # no cell has more than weight + 1 digits
+    lows = ((1 << bits * (weight + 1)) - 1) // ((1 << bits) - 1)
+    corner = _corner(partial(_luc_step, bits, lows), lambda j: 1, n, k)
+    return _from_xy(_digits(corner, bits)[: weight // 2 + 1], weight)
 
 
 @dataclass(frozen=True)
@@ -198,7 +196,7 @@ def table(max_row: int) -> LucasnomialTable:
     if max_row < 0:
         raise DomainError("row count must be nonnegative")
     # the half i <= j of the triangle i + j <= N, as rows of cells (i, j)
-    half = list(_rows(_plain_step, _plain_seed, max_row // 2, lambda i: max_row - i))
+    half = list(_rows(_plain_step, lambda j: ONE, max_row // 2, lambda i: max_row - i))
 
     def cell(n: int, k: int) -> BivariatePolynomial:
         i = min(k, n - k)

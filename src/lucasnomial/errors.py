@@ -10,11 +10,8 @@ class IndivisibleError(ArithmeticError):
 
 
 class InternalParityError(ArithmeticError):
-    """A coefficient that must be divisible by a power of two is not.
-
-    Raised only on an internal defect: the doubled companion recursion
-    always produces coefficients divisible by its scale factor.
-    """
+    """A doubled cell of the companion recursion has an odd coefficient,
+    which only an internal defect can cause."""
 
 
 class ResourceError(RuntimeError):

@@ -4,76 +4,67 @@ The base sequence starts 0, 1 and obeys P(n) = s*P(n-1) + t*P(n-2); the
 companion sequence obeys the same recursion from 2, s.  At s = t = 1 they
 specialize to the Fibonacci and Lucas numbers.  Factorials are the running
 products of the base sequence, with the empty product equal to 1.
+
+Both sequences are built from their closed forms, which count tilings:
+F(n) weighs the linear tilings of n - 1 squares, so its coefficient of
+s^(n-1-2j)*t^j is binomial(n-1-j, j), and L(n) weighs the circular tilings of
+n, with the coefficient n/(n-j)*binomial(n-j, j).  Nothing is memoized, so
+no value outlives its caller and a lookup takes no lock.
 """
 
 from __future__ import annotations
 
-import threading
-
 from .errors import DomainError
-from .poly import BivariatePolynomial, ONE, S, T, TWO, ZERO
+from .poly import BivariatePolynomial, ONE, T, TWO, ZERO, _graded
 from .reports import IdentityReport, _case
 
 
-def _next_lucas(seq: list[BivariatePolynomial]) -> BivariatePolynomial:
-    # the recursion both Lucas sequences share; only their seeds differ
-    return S * seq[-1] + T * seq[-2]
+def _check_index(n: int) -> None:
+    if n < 0:
+        raise DomainError("sequence index must be nonnegative")
 
 
-class LucasCache:
-    """Grow-only memo of the three sequences; extension is lock-serialized.
-
-    Each sequence grows alone, only as far as it is asked for: F, L and the
-    factorials share nothing but the F values a factorial multiplies.
-    Cached entries are immutable polynomials, so concurrent reads are safe;
-    the lock only serializes appends.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._fib: list[BivariatePolynomial] = [ZERO, ONE]
-        self._luc: list[BivariatePolynomial] = [TWO, S]
-        self._fact: list[BivariatePolynomial] = [ONE, ONE]
-
-    def _grow(self, seq: list, n: int, step) -> BivariatePolynomial:
-        """seq[n], appending step(seq) under the lock until seq reaches n."""
-        if n < 0:
-            raise DomainError("sequence index must be nonnegative")
-        if n >= len(seq):
-            with self._lock:
-                while len(seq) <= n:
-                    seq.append(step(seq))
-        return seq[n]
-
-    def fib(self, n: int) -> BivariatePolynomial:
-        return self._grow(self._fib, n, _next_lucas)
-
-    def luc(self, n: int) -> BivariatePolynomial:
-        return self._grow(self._luc, n, _next_lucas)
-
-    def factorial(self, n: int) -> BivariatePolynomial:
-        # F grows first: the lock is not re-entrant, so a step may only read
-        # _fib, never call fib()
-        self.fib(n)
-        return self._grow(self._fact, n, lambda f: f[-1] * self._fib[len(f)])
-
-
-_CACHE = LucasCache()
+def _binomial_run(weight: int, top: int) -> list[int]:
+    """c_0, ..., c_(weight//2) with c_0 = 1 and c_(j+1) = c_j*a*(a-1)/((j+1)*(top-j)),
+    where a = weight - 2j is the s-power of the term c_j*s^a*t^j: the ratio of
+    consecutive binomials.  top = weight gives binomial(weight-j, j), and
+    top = weight - 1 gives weight/(weight-j)*binomial(weight-j, j).  Each step
+    divides exactly, by small factors, where math.comb would start afresh."""
+    run = [1]
+    for j in range(weight // 2):
+        a = weight - 2 * j
+        run.append(run[-1] * a * (a - 1) // ((j + 1) * (top - j)))
+    return run
 
 
 def lucas_F(n: int) -> BivariatePolynomial:
     """The n-th Lucas polynomial (0, 1, s, s^2+t, ...)."""
-    return _CACHE.fib(n)
+    _check_index(n)
+    return _graded(n - 1, _binomial_run(n - 1, n - 1)) if n else ZERO
 
 
 def lucas_L(n: int) -> BivariatePolynomial:
     """The n-th companion polynomial (2, s, s^2+2t, ...)."""
-    return _CACHE.luc(n)
+    _check_index(n)
+    return _graded(n, _binomial_run(n, n - 1)) if n else TWO
 
 
 def lucas_factorial(n: int) -> BivariatePolynomial:
     """Product of the Lucas polynomials with indices 1..n."""
-    return _CACHE.factorial(n)
+    _check_index(n)
+    product = ONE
+    for i in range(2, n + 1):
+        product = product * lucas_F(i)
+    return product
+
+
+class LucasCache:
+    """The three sequences as methods, kept as public API; it holds no state."""
+
+    __slots__ = ()
+    fib = staticmethod(lucas_F)
+    luc = staticmethod(lucas_L)
+    factorial = staticmethod(lucas_factorial)
 
 
 def check_lemma1(m: int, n: int) -> IdentityReport:

@@ -312,6 +312,11 @@ def _unpack(value: int, weight: int, bits: int) -> BivariatePolynomial:
     run = _digits(value, bits)
     if len(run) > weight // 2 + 1:
         raise ValueError(f"{len(run)} digits do not fit grade {weight}")
+    return _graded(weight, run)
+
+
+def _graded(weight: int, run: list[int]) -> BivariatePolynomial:
+    """The grade-weight polynomial with run[b] the coefficient of s^(weight-2b)*t^b."""
     runs: dict[int, tuple[int, list[int]]] = {}
     _add_run(runs, weight, 0, run)
     return BivariatePolynomial._from_runs(runs)

@@ -16,8 +16,9 @@ from lucasnomial import (
     UnivariatePolynomial,
     cli,
     interpretations,
+    lnomial,
     lucas_F,
-    lucas_L,
+    specialize,
 )
 from lucasnomial.cli import main
 from lucasnomial.interpretations import PAIR_BUDGET
@@ -293,7 +294,6 @@ def test_verify_summary_counts_passes_it_does_not_keep(monkeypatch):
 def test_verify_memory_does_not_grow_with_the_grid():
     # each case is dropped once printed and counted, unless it failed: the
     # 7320 cases at 60 x 60 once held 19 MB against 1.3 MB at 20 x 20
-    lucas_F(121), lucas_L(121)  # the sequence memo is not the run's to count
 
     def peak(side):
         tracemalloc.start()
@@ -500,6 +500,38 @@ def test_specialize_lnomial():
     )
     assert code == 0
     assert out == "-6930\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no digit cap before Python 3.10.7"
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_values_past_the_int_text_cap_print_in_full(fmt):
+    ell = 10**50
+    cap = sys.get_int_max_str_digits()
+    code, out, err = run(
+        "specialize", "20", "10", "--preset", "lnomial", "--ell", str(ell), "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == cap
+    text = json.loads(out)["value"] if fmt == "json" else out.removesuffix("\n")
+    assert len(text) > cap
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(text) == specialize(20, 10, lnomial(ell))
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no digit cap before Python 3.10.7"
+)
+def test_argv_keeps_the_int_text_cap():
+    # the cap is lifted only after parsing, so a huge --ell is still refused
+    huge = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(SystemExit) as exit_:
+        run("specialize", "2", "1", "--preset", "lnomial", "--ell", huge)
+    assert exit_.value.code == 2
 
 
 def test_specialize_lnomial_requires_ell():

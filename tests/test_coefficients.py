@@ -10,7 +10,6 @@ from lucasnomial import (
     DomainError,
     InternalParityError,
     lucas_F,
-    lucas_L,
     table,
     via_quotient,
     via_recursion_fib,
@@ -151,11 +150,13 @@ def test_table_edges_are_one():
             assert triangle.entry(n, k) == triangle.entry(n, n - k)
 
 
-def test_rec_luc_refuses_a_doubled_grid_with_an_odd_coefficient(monkeypatch):
-    # every filled cell becomes 1, so the corner is not divisible by 2^3
-    monkeypatch.setattr(coefficients, "_luc_step", lambda bits, i, j, up, left: 1)
+def test_rec_luc_refuses_a_doubled_grid_with_an_odd_coefficient():
+    # 8-bit digits at (1, 1): up = left = 1 doubles to 2x + 2, which halves
+    # to x + 1; with left = 0 the doubled cell is x + 1, whose digits are odd
+    lows = 1 + (1 << 8)
+    assert coefficients._luc_step(8, lows, 1, 1, 1, 1) == lows
     with pytest.raises(InternalParityError):
-        via_recursion_luc(3, 1)
+        coefficients._luc_step(8, lows, 1, 1, 1, 0)
 
 
 @pytest.mark.parametrize("m, rest", [(0, 0), (0, 5), (1, 1), (3, 7), (30, 34)])
@@ -178,7 +179,6 @@ def test_fill_steps_once_per_cell_of_the_mirror_half(m, rest):
 def test_rec_luc_memory_does_not_grow_with_its_rectangle():
     # the whole rectangle at (64, 30) held some 10 MB; two rows hold well
     # under 2 MB, and nothing is kept after the call
-    lucas_L(64)
     tracemalloc.start()
     try:
         via_recursion_luc(64, 30)

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -121,12 +122,11 @@ def test_fresh_cache_matches_module_cache():
     assert cache.fib(10) == lucas_F(10)
     assert cache.luc(10) == lucas_L(10)
     assert cache.factorial(10) == lucas_factorial(10)
-    # sequence lookups build no factorials; factorial() builds only its own
     fresh = LucasCache()
     assert fresh.fib(60) == lucas_F(60)
     assert fresh.luc(60) == lucas_L(60)
-    assert len(fresh._fact) == 2
     assert fresh.factorial(60) == lucas_factorial(60)
+    assert_holds_no_state(fresh)
 
 
 def test_concurrent_cache_extension_is_consistent():
@@ -138,13 +138,19 @@ def test_concurrent_cache_extension_is_consistent():
     assert cache.fib(39) == lucas_F(39)
 
 
-def test_each_sequence_grows_alone():
-    fresh = LucasCache()
-    assert fresh.fib(60) == lucas_F(60)
-    assert len(fresh._luc) == 2
-    fresh = LucasCache()
-    assert fresh.luc(60) == lucas_L(60)
-    assert len(fresh._fib) == 2
+def assert_holds_no_state(cache):
+    # no instance dict and no slots: there is nowhere to keep a value
+    assert not hasattr(cache, "__dict__")
+    assert all(getattr(cls, "__slots__", ()) == () for cls in type(cache).__mro__)
+
+
+def test_a_cache_holds_no_state():
+    cache = LucasCache()
+    assert cache.fib(60) == lucas_F(60)
+    assert cache.luc(60) == lucas_L(60)
+    assert_holds_no_state(cache)
+    with pytest.raises(AttributeError):
+        cache.memo = []
 
 
 def test_concurrent_mixed_growth_neither_deadlocks_nor_loses_entries():
@@ -175,4 +181,42 @@ def test_concurrent_mixed_growth_neither_deadlocks_nor_loses_entries():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == {i: ref(30 + i) for i, (_, ref) in enumerate(calls)}
-    assert cache._fact == [lucas_factorial(i) for i in range(len(cache._fact))]
+    assert_holds_no_state(cache)
+
+
+def recurrence(first, second, count):
+    # the oracle: P(n) = s*P(n-1) + t*P(n-2), term by term from two seeds
+    seq = [first, second]
+    while len(seq) < count:
+        seq.append(S * seq[-1] + T * seq[-2])
+    return seq[:count]
+
+
+def test_closed_forms_match_the_recurrence():
+    assert [lucas_F(n) for n in range(301)] == recurrence(ZERO, ONE, 301)
+    assert [lucas_L(n) for n in range(301)] == recurrence(TWO, S, 301)
+
+
+def test_closed_forms_at_one_are_the_fibonacci_and_lucas_numbers():
+    fib, luc = (0, 1), (2, 1)
+    for n in range(2001):
+        assert lucas_F(n).eval_int(1, 1) == fib[0], n
+        assert lucas_L(n).eval_int(1, 1) == luc[0], n
+        fib, luc = (fib[1], fib[0] + fib[1]), (luc[1], luc[0] + luc[1])
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 64, 300, 1000])
+def test_even_companions_end_in_two(n):
+    assert lucas_L(n).terms()[-1] == (0, n // 2, 2)
+
+
+def test_repeated_lookups_retain_nothing():
+    # a memo of F(0..2999) would keep some 400 MB
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            lucas_F(3000)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**14, kept
