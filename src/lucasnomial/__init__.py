@@ -1,97 +1,76 @@
 """Exact arithmetic for Lucas polynomials, lucasnomial coefficients, and the
-weighted tiling sums that interpret them."""
+weighted tiling sums that interpret them.
 
-from .coefficients import (
-    LucasnomialTable,
-    table,
-    via_quotient,
-    via_recursion_fib,
-    via_recursion_luc,
-)
-from .errors import DomainError, IndivisibleError, InternalParityError, ResourceError
-from .interpretations import (
-    CIRCULAR_PAIR,
-    LINEAR_PAIR,
-    PAIR_BUDGET,
-    TilingPair,
-    iter_pairs,
-    predicted_pair_count,
-    rhs_circular,
-    rhs_linear,
-    verify_recursions,
-    verify_theorem,
-)
-from .lucas import LucasCache, check_lemma1, lucas_F, lucas_L, lucas_factorial
-from .partitions import Partition, enumerate_in_rect, iter_in_rect
-from .poly import BivariatePolynomial, UnivariatePolynomial
-from .reports import CaseResult, IdentityReport
-from .specializations import (
-    FIBONOMIAL,
-    QBINOMIAL,
-    SpecializationPreset,
-    gaussian_binomial_oracle,
-    lnomial,
-    specialize,
-)
-from .tilings import (
-    CIRCULAR,
-    DOMINO,
-    LINEAR,
-    LINEAR_NOLEAD,
-    MONO,
-    Tiling,
-    enumerate_tilings,
-    gf,
-    iter_tilings,
-)
+The package namespace is lazy: each public name, and each submodule, is
+imported on first access, so a CLI call loads only the modules it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BivariatePolynomial",
-    "UnivariatePolynomial",
-    "DomainError",
-    "IndivisibleError",
-    "InternalParityError",
-    "ResourceError",
-    "LucasCache",
-    "lucas_F",
-    "lucas_L",
-    "lucas_factorial",
-    "check_lemma1",
-    "LucasnomialTable",
-    "table",
-    "via_quotient",
-    "via_recursion_fib",
-    "via_recursion_luc",
-    "Tiling",
-    "enumerate_tilings",
-    "iter_tilings",
-    "gf",
-    "MONO",
-    "DOMINO",
-    "LINEAR",
-    "LINEAR_NOLEAD",
-    "CIRCULAR",
-    "Partition",
-    "enumerate_in_rect",
-    "iter_in_rect",
-    "TilingPair",
-    "LINEAR_PAIR",
-    "CIRCULAR_PAIR",
-    "PAIR_BUDGET",
-    "iter_pairs",
-    "predicted_pair_count",
-    "rhs_linear",
-    "rhs_circular",
-    "verify_theorem",
-    "verify_recursions",
-    "CaseResult",
-    "IdentityReport",
-    "SpecializationPreset",
-    "FIBONOMIAL",
-    "QBINOMIAL",
-    "lnomial",
-    "specialize",
-    "gaussian_binomial_oracle",
-]
+# Each public name under its home module, in the order of __all__.
+_EXPORTS = {
+    "poly": ("BivariatePolynomial", "UnivariatePolynomial"),
+    "errors": ("DomainError", "IndivisibleError", "InternalParityError", "ResourceError"),
+    "lucas": ("LucasCache", "lucas_F", "lucas_L", "lucas_factorial", "check_lemma1"),
+    "coefficients": (
+        "LucasnomialTable",
+        "table",
+        "via_quotient",
+        "via_recursion_fib",
+        "via_recursion_luc",
+    ),
+    "tilings": (
+        "Tiling",
+        "enumerate_tilings",
+        "iter_tilings",
+        "gf",
+        "MONO",
+        "DOMINO",
+        "LINEAR",
+        "LINEAR_NOLEAD",
+        "CIRCULAR",
+    ),
+    "partitions": ("Partition", "enumerate_in_rect", "iter_in_rect"),
+    "interpretations": (
+        "TilingPair",
+        "LINEAR_PAIR",
+        "CIRCULAR_PAIR",
+        "PAIR_BUDGET",
+        "iter_pairs",
+        "predicted_pair_count",
+        "rhs_linear",
+        "rhs_circular",
+        "verify_theorem",
+        "verify_recursions",
+    ),
+    "reports": ("CaseResult", "IdentityReport"),
+    "specializations": (
+        "SpecializationPreset",
+        "FIBONOMIAL",
+        "QBINOMIAL",
+        "lnomial",
+        "specialize",
+        "gaussian_binomial_oracle",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # the import binds the submodule in this namespace itself
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

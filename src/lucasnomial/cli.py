@@ -8,29 +8,19 @@ error, 3 enumeration or listing budget exceeded, 141 stdout closed early.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .coefficients import table, via_quotient, via_recursion_fib, via_recursion_luc
-from .errors import DomainError, ResourceError
-from .interpretations import (
-    PAIR_BUDGET,
-    _lemma1_grid,
-    _recursion_grid,
-    _theorem_grid,
-)
-from .lucas import lucas_F, lucas_L, lucas_factorial
-from .partitions import _count_in_rect, iter_in_rect
-from .reports import IdentityReport
-from .specializations import FIBONOMIAL, QBINOMIAL, lnomial, specialize
-from .tilings import CIRCULAR, LINEAR, LINEAR_NOLEAD, _count, iter_tilings
+from .errors import PAIR_BUDGET, DomainError, ResourceError
 
-_TILING_KINDS = {"linear": LINEAR, "nolead": LINEAR_NOLEAD, "circular": CIRCULAR}
+# Each subcommand imports the modules it runs inside its handler, so a call
+# loads only those.  Routes and strip kinds are held by name and looked up on
+# their module when called, so a rebinding of the module's name is seen.
+_TILING_KINDS = {"linear": "LINEAR", "nolead": "LINEAR_NOLEAD", "circular": "CIRCULAR"}
 _METHODS = {
-    "quotient": via_quotient,
-    "rec-fib": via_recursion_fib,
-    "rec-luc": via_recursion_luc,
+    "quotient": "via_quotient",
+    "rec-fib": "via_recursion_fib",
+    "rec-luc": "via_recursion_luc",
 }
 
 
@@ -47,6 +37,8 @@ def _nonneg(text: str) -> int:
 def _render(value, fmt: str) -> str:
     """A polynomial of either class, or an integer, in one output format."""
     if fmt == "json":
+        import json
+
         doc = {"value": str(value)} if isinstance(value, int) else value.to_json_dict()
         return json.dumps(doc)
     if fmt == "latex" and not isinstance(value, int):
@@ -125,20 +117,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_lucas(args) -> int:
-    seq = {"F": lucas_F, "L": lucas_L, "factorial": lucas_factorial}[args.kind]
+    from . import lucas
+
+    seq = getattr(lucas, f"lucas_{args.kind}")  # lucas_F, lucas_L or lucas_factorial
     print(_render(seq(args.n), args.format))
     return 0
 
 
 def _cmd_lucasnomial(args) -> int:
-    poly = _METHODS[args.method](args.n, args.k)
+    from . import coefficients
+
+    poly = getattr(coefficients, _METHODS[args.method])(args.n, args.k)
     print(_render(poly, args.format))
     return 0
 
 
 def _cmd_table(args) -> int:
-    triangle = table(args.n)
+    from . import coefficients
+
+    triangle = coefficients.table(args.n)
     if args.format == "json":
+        import json
+
         # the bytes of json.dumps({"rows": ...}), built one row at a time: the
         # whole document as Python objects outweighed the triangle itself
         rows = (json.dumps([p.to_json_dict() for p in row]) for row in triangle.rows)
@@ -160,10 +160,12 @@ def _check_listing(count: int, what: str) -> None:
 
 
 def _cmd_tilings(args) -> int:
-    kind = _TILING_KINDS[args.kind]
-    count = _count(kind, args.n, PAIR_BUDGET)
+    from . import tilings
+
+    kind = getattr(tilings, _TILING_KINDS[args.kind])
+    count = tilings._count(kind, args.n, PAIR_BUDGET)
     _check_listing(count, f"tilings {args.kind} {args.n}")
-    for tiling in iter_tilings(kind, args.n):
+    for tiling in tilings.iter_tilings(kind, args.n):
         line = tiling.text()
         if args.weights:
             line += "\t" + tiling.weight().canonical_text()
@@ -172,7 +174,9 @@ def _cmd_tilings(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
-    count = _count_in_rect(args.m, args.n, PAIR_BUDGET)
+    from . import partitions
+
+    count = partitions._count_in_rect(args.m, args.n, PAIR_BUDGET)
     _check_listing(count, f"partitions {args.m} {args.n}")
     # a line holds m parts, and n more with the complement: one line can be
     # the long one, as in `partitions 1000000000 0`
@@ -183,7 +187,7 @@ def _cmd_partitions(args) -> int:
             f"partitions {args.m} {args.n}{flag} would list a line of {length} "
             f"parts, more than {PAIR_BUDGET}, the listing budget"
         )
-    for part in iter_in_rect(args.m, args.n):
+    for part in partitions.iter_in_rect(args.m, args.n):
         line = part.text()
         if args.complement:
             line += "\t" + part.complement().text()
@@ -192,17 +196,22 @@ def _cmd_partitions(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import interpretations
+    from .reports import IdentityReport
+
     if args.kind == "recursions":
         # single triangle bound m+n <= N: the larger of the flags given, else 12
         given = [b for b in (args.m_max, args.n_max) if b is not None]
-        rng, cases = _recursion_grid(max(given, default=12))
+        rng, cases = interpretations._recursion_grid(max(given, default=12))
     else:
         default = 12 if args.kind == "lemma1" else 5
         bounds = [default if b is None else b for b in (args.m_max, args.n_max)]
         if args.kind == "lemma1":
-            rng, cases = _lemma1_grid(*bounds)
+            rng, cases = interpretations._lemma1_grid(*bounds)
         else:
-            rng, cases = _theorem_grid(*bounds, args.flavor, args.mode, args.budget)
+            rng, cases = interpretations._theorem_grid(
+                *bounds, args.flavor, args.mode, args.budget
+            )
 
     # only the failures are kept, so memory does not grow with the grid
     checked, failures = 0, []
@@ -215,6 +224,8 @@ def _cmd_verify(args) -> int:
 
     report = IdentityReport(args.kind, rng, tuple(failures), checked - len(failures))
     if args.format == "json":
+        import json
+
         print(json.dumps(report.to_dict()))
     else:
         print(report.summary())
@@ -222,16 +233,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_specialize(args) -> int:
+    from . import specializations
+
     if args.preset == "fibonomial":
-        preset = FIBONOMIAL
+        preset = specializations.FIBONOMIAL
     elif args.preset == "qbinomial":
-        preset = QBINOMIAL
+        preset = specializations.QBINOMIAL
     else:
         if args.ell is None:
             print("error: --preset lnomial requires --ell", file=sys.stderr)
             return 2
-        preset = lnomial(args.ell)
-    value = specialize(args.n, args.k, preset)
+        preset = specializations.lnomial(args.ell)
+    value = specializations.specialize(args.n, args.k, preset)
     print(_render(value, args.format))
     return 0
 

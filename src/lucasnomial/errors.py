@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default size budget."""
 
 
 class DomainError(ValueError):
@@ -16,3 +16,8 @@ class InternalParityError(ArithmeticError):
 
 class ResourceError(RuntimeError):
     """A requested enumeration exceeds the configured size budget."""
+
+
+# The default cap on the tiling pairs an enumeration may visit, and on the
+# lines (or the parts of one line) a CLI listing may print.
+PAIR_BUDGET = 10**7

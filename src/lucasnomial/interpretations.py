@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .coefficients import via_quotient
-from .errors import DomainError, ResourceError
+from .errors import PAIR_BUDGET, DomainError, ResourceError
 from .lucas import check_lemma1, lucas_F, lucas_L
 from .partitions import enumerate_in_rect
 from .poly import BivariatePolynomial, T, _pack, _power, _unpack
@@ -71,8 +71,6 @@ from .tilings import (
 
 LINEAR_PAIR = "linear_pair"
 CIRCULAR_PAIR = "circular_pair"
-
-PAIR_BUDGET = 10**7
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .poly import BivariatePolynomial, ONE, T, TWO, ZERO, _graded
-from .reports import IdentityReport, _case
 
 
 def _check_index(n: int) -> None:
@@ -74,6 +73,9 @@ def check_lemma1(m: int, n: int) -> IdentityReport:
     is checked doubled (2*F(m+n) = L(n)*F(m) + L(m)*F(n)) so everything
     stays inside integer polynomials.
     """
+    # imported here, so that the sequences alone never load dataclasses
+    from .reports import IdentityReport, _case
+
     if m < 1:
         raise DomainError("the plain split needs m >= 1")
     if n < 0:

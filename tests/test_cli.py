@@ -18,7 +18,9 @@ from lucasnomial import (
     interpretations,
     lnomial,
     lucas_F,
+    partitions,
     specialize,
+    tilings,
 )
 from lucasnomial.cli import main
 from lucasnomial.interpretations import PAIR_BUDGET
@@ -411,7 +413,7 @@ def test_over_budget_line_is_refused(monkeypatch, args, length):
     def refuse(*args):
         raise AssertionError("a partition was built before the line check")
 
-    monkeypatch.setattr(cli, "iter_in_rect", refuse)
+    monkeypatch.setattr(partitions, "iter_in_rect", refuse)
     code, out, err = run(*args)
     assert (code, out) == (3, "")
     assert err == (
@@ -430,8 +432,8 @@ def test_largest_listings_in_budget_still_list(monkeypatch):
         listed.append(args)
         return iter(())
 
-    monkeypatch.setattr(cli, "iter_tilings", record)
-    monkeypatch.setattr(cli, "iter_in_rect", record)
+    monkeypatch.setattr(tilings, "iter_tilings", record)
+    monkeypatch.setattr(partitions, "iter_in_rect", record)
     assert run("tilings", "linear", "34", "--weights") == (0, "", "")
     assert run("partitions", "12", "12", "--complement") == (0, "", "")
     assert run("partitions", "12", "13") == (0, "", "")
