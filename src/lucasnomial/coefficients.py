@@ -8,12 +8,12 @@ The other two run Pascal-style recursions seeded by the two index-addition
 splits, over cells (i, j) standing for C(i+j, i), in the x, y basis of
 s = x + y, t = -xy.  There F(j) = (x^j - y^j)/(x - y) and L(j) = x^j + y^j,
 and every cell is a symmetric form in x and y whose coefficients are
-nonnegative and at most binomial(i+j, i).  So each cell is one Python int,
-its x, y form at x = 2^B, y = 1, with 2^B above binomial(n, k) for the target
-(n, k): a step is a few shifts and adds, plus, for the plain split, one
-exact division by x - y = 2^B - 1, a divisor a few machine words long.  The
-companion-seeded recursion doubles each cell, so its step is shifts and adds
-and one checked halving, and its digits need one bit more than binomial(n, k).
+nonnegative and at most binomial(i+j, i), so each cell is one Python int,
+its packed x, y form (poly.py) with B the bit length of binomial(n, k): a
+step is a few shifts and adds, plus, for the plain split, one exact division
+by x - y = 2^B - 1, a divisor a few machine words long.  The companion-seeded
+recursion doubles each cell, so its step is shifts and adds and one checked
+halving, and its digits need one bit more than binomial(n, k).
 
 A cell equals its mirror (j, i), so each recursion fills only the half
 i <= j of its rectangle, one row at a time, keeping just the row before: a
@@ -32,7 +32,7 @@ from functools import cache, partial
 
 from .errors import DomainError, IndivisibleError, InternalParityError
 from .lucas import lucas_F, lucas_factorial
-from .poly import BivariatePolynomial, ONE, T, ZERO, _digits, _unpack
+from .poly import BivariatePolynomial, ONE, T, ZERO, _bit_width, _digits, _from_xy
 
 
 @cache
@@ -67,10 +67,10 @@ def _rows(step, seed, m: int, stop):
         yield row
 
 
-def _corner(step, seed, n: int, k: int):
-    # cell (m, rest) with m <= rest: the last cell of the last row
+def _corner(step, n: int, k: int):
+    # cell (m, rest) with m <= rest, the last of a fill whose row 0 is all 1s
     m, rest = sorted((k, n - k))
-    for row in _rows(step, seed, m, lambda i: rest):
+    for row in _rows(step, lambda j: 1, m, lambda i: rest):
         pass
     return row[-1]
 
@@ -78,12 +78,6 @@ def _corner(step, seed, n: int, k: int):
 def _plain_step(i, j, up, left):
     # the coefficient itself; Pascal recursion of the plain split
     return lucas_F(j + 1) * up + T * lucas_F(i - 1) * left
-
-
-def _byte_width(bound: int) -> int:
-    # the bits of the fewest whole bytes that hold 0..bound, so that
-    # int.to_bytes splits digits of that width in linear time
-    return -(-bound.bit_length() // 8) * 8
 
 
 def _fib_step(bits, i, j, up, left):
@@ -109,49 +103,13 @@ def _luc_step(bits, lows, i, j, up, left):
     return doubled >> 1
 
 
-def _companion_sum(half: list[int], weight: int, bits: int) -> int:
-    """The sum over r of (-t)^r*half[r]*L(weight - 2r), with L(0) read as 1,
-    at s = 1 and t = 2^bits.
-
-    By Clenshaw's recurrence b(m) = d(m) + b(m+1) + t*b(m+2), m = weight..1,
-    where d(weight - 2r) is the r-th term's factor (-t)^r*half[r]: the sum
-    over m >= 1 is L(1)*b(1) + t*L(0)*b(2), so no L(m) is ever formed and
-    every step only shifts and adds."""
-
-    def factor(r):
-        d = half[r] << bits * r
-        return -d if r % 2 else d
-
-    b1 = b2 = 0
-    for m in range(weight, 0, -1):
-        b1, b2 = b1 + (b2 << bits), b1
-        if (weight - m) % 2 == 0:
-            b1 += factor((weight - m) // 2)
-    total = b1 + (b2 << bits + 1)
-    return total + factor(weight // 2) if weight % 2 == 0 else total
-
-
-def _from_xy(half: list[int], weight: int) -> BivariatePolynomial:
-    """The (s, t) form of the symmetric x, y form of the given weight whose
-    coefficients of x^r*y^(weight-r), r = 0..weight//2, are half.
-
-    Pairing x^r*y^(w-r) with its mirror gives (-t)^r*L(w-2r), and the middle
-    monomial of an even weight is (-t)^(w/2) alone.  The sum is taken at
-    s = t = 1 to size the digits, then at s = 1, t = 2^bits and unpacked, so
-    the (s, t) coefficients must be nonnegative, as every lucasnomial's are."""
-    if len(half) != weight // 2 + 1:
-        raise ValueError(f"{len(half)} digits are not half an x, y form of weight {weight}")
-    bits = _byte_width(_companion_sum(half, weight, 0))
-    return _unpack(_companion_sum(half, weight, bits), weight, bits)
-
-
 @cache
 def via_recursion_fib(n: int, k: int) -> BivariatePolynomial:
     """Pascal-style recursion seeded by the plain index-addition split."""
     if k < 0 or k > n:
         return ZERO
-    bits = _byte_width(math.comb(n, k))
-    corner = _corner(partial(_fib_step, bits), lambda j: 1, n, k)
+    bits = _bit_width(math.comb(n, k))
+    corner = _corner(partial(_fib_step, bits), n, k)
     weight = k * (n - k)
     return _from_xy(_digits(corner, bits)[: weight // 2 + 1], weight)
 
@@ -160,11 +118,11 @@ def via_recursion_luc(n: int, k: int) -> BivariatePolynomial:
     """Companion-seeded recursion, each doubled cell halved in its step."""
     if k < 0 or k > n:
         return ZERO
-    bits = _byte_width(math.comb(n, k) << 1)
+    bits = _bit_width(math.comb(n, k) << 1)
     weight = k * (n - k)
     # no cell has more than weight + 1 digits
     lows = ((1 << bits * (weight + 1)) - 1) // ((1 << bits) - 1)
-    corner = _corner(partial(_luc_step, bits, lows), lambda j: 1, n, k)
+    corner = _corner(partial(_luc_step, bits, lows), n, k)
     return _from_xy(_digits(corner, bits)[: weight // 2 + 1], weight)
 
 

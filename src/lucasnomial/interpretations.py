@@ -56,7 +56,7 @@ from .coefficients import via_quotient
 from .errors import PAIR_BUDGET, DomainError, ResourceError
 from .lucas import check_lemma1, lucas_F, lucas_L
 from .partitions import enumerate_in_rect
-from .poly import BivariatePolynomial, T, _pack, _power, _unpack
+from .poly import BivariatePolynomial, T, _bit_width, _pack, _power, _unpack
 from .reports import CaseResult, IdentityReport, _case
 from .tilings import (
     CIRCULAR,
@@ -72,6 +72,13 @@ from .tilings import (
 LINEAR_PAIR = "linear_pair"
 CIRCULAR_PAIR = "circular_pair"
 
+# per pair flavor, in case order: its name in labels and options, its row and
+# column tiling kinds, and whether its sum is 2^(m+n) times the coefficient
+_PAIRS = {
+    LINEAR_PAIR: ("linear", LINEAR, LINEAR_NOLEAD, False),
+    CIRCULAR_PAIR: ("circular", CIRCULAR, CIRCULAR, True),
+}
+
 
 @dataclass(frozen=True)
 class TilingPair:
@@ -83,7 +90,7 @@ class TilingPair:
     flavor: str
 
     def __post_init__(self) -> None:
-        if self.flavor not in (LINEAR_PAIR, CIRCULAR_PAIR):
+        if self.flavor not in _PAIRS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         # checked and weighed in one pass; a plain attribute, not a field, so
         # equality, hashing and repr see only the tilings and the flavor
@@ -109,8 +116,8 @@ def _checked_exponents(tilings, flavor: str, columns: bool):
     a flavor pair as a row (columns false) or complement column: its kind
     matches the flavor, and a linear column tiling does not begin with a
     monomino."""
-    kind = LINEAR if flavor == LINEAR_PAIR else CIRCULAR
-    nolead = columns and flavor == LINEAR_PAIR
+    _, kind, col_kind, _ = _PAIRS[flavor]
+    nolead = columns and col_kind == LINEAR_NOLEAD
     for t in tilings:
         if t.kind != kind:
             raise ValueError(f"{flavor} pair holds a {t.kind} tiling")
@@ -120,11 +127,9 @@ def _checked_exponents(tilings, flavor: str, columns: bool):
 
 
 def _pair_kinds(flavor: str) -> tuple[str, str]:
-    if flavor == LINEAR_PAIR:
-        return LINEAR, LINEAR_NOLEAD
-    if flavor == CIRCULAR_PAIR:
-        return CIRCULAR, CIRCULAR
-    raise DomainError(f"unknown flavor {flavor!r}")
+    if flavor not in _PAIRS:
+        raise DomainError(f"unknown flavor {flavor!r}")
+    return _PAIRS[flavor][1:3]
 
 
 def _path_total(rows: list[int], cols: list[int]) -> int:
@@ -174,7 +179,7 @@ def _gf_sum(m: int, n: int, flavor: str) -> BivariatePolynomial:
     at_one = _path_total(
         [p.eval_int(1, 1) for p in row_gfs], [p.eval_int(1, 1) for p in col_gfs]
     )
-    bits = max(1, at_one.bit_length())
+    bits = _bit_width(at_one)
     # depth-first over boundary paths; a stack entry is (x, h, prefix product)
     ups = [_pack(p, bits) for p in row_gfs]
     rights = [_pack(p, bits) for p in col_gfs]
@@ -278,18 +283,12 @@ def rhs_circular(
     return _rhs(m, n, CIRCULAR_PAIR, mode, budget)
 
 
-# the pair flavors each flavor option checks, in case order
-_FLAVORS = {
-    "linear": (LINEAR_PAIR,),
-    "circular": (CIRCULAR_PAIR,),
-    "both": (LINEAR_PAIR, CIRCULAR_PAIR),
-}
-
-
 def _pair_flavors(flavor: str) -> tuple[str, ...]:
-    if flavor not in _FLAVORS:
+    # the pair flavors a flavor option checks, in case order
+    chosen = tuple(f for f, (name, *_) in _PAIRS.items() if flavor in (name, "both"))
+    if not chosen:
         raise DomainError(f"unknown flavor {flavor!r}")
-    return _FLAVORS[flavor]
+    return chosen
 
 
 def theorem_cases(
@@ -304,11 +303,9 @@ def theorem_cases(
     expected = via_quotient(m + n, m)
     out = []
     for pair_flavor in pair_flavors:
-        if pair_flavor == LINEAR_PAIR:
-            name, lhs, rhs = "linear", expected, rhs_linear(m, n, mode, budget)
-        else:
-            name, lhs = "circular", expected * (1 << (m + n))
-            rhs = rhs_circular(m, n, mode, budget)
+        name, _, _, circular = _PAIRS[pair_flavor]
+        lhs = expected * (1 << (m + n)) if circular else expected
+        rhs = (rhs_circular if circular else rhs_linear)(m, n, mode, budget)
         label = f"theorem {name} m={m} n={n} mode={mode}"
         out.append(_case((name, m, n), label, lhs, rhs))
     return out

@@ -201,34 +201,27 @@ def test_table_is_the_quotient_triangle_without_the_fib_route(monkeypatch, max_r
             assert triangle.entry(n, k) == via_quotient(n, k), (n, k)
 
 
-@st.composite
-def nonnegative_forms(draw, max_weight: int = 40):
-    """(weight, polynomial): a weight-homogeneous (s, t) form with
-    coefficients in [0, 10^30]."""
-    w = draw(st.integers(0, max_weight))
-    cs = draw(st.dictionaries(st.integers(0, w // 2), st.integers(0, 10**30)))
-    return w, BivariatePolynomial({(w - 2 * b, b): c for b, c in cs.items()})
+@pytest.mark.parametrize(
+    "route, step, bits",
+    [
+        (via_recursion_fib.__wrapped__, "_fib_step", 61),
+        (via_recursion_luc, "_luc_step", 62),
+    ],
+)
+def test_recursion_digits_are_the_bit_length_of_their_bound(
+    monkeypatch, route, step, bits
+):
+    # C(64, 30) has 61 bits, and rec-luc doubles it: no width is rounded up
+    widths = set()
+    original = getattr(coefficients, step)
 
+    def recorded(width, *args):
+        widths.add(width)
+        return original(width, *args)
 
-def xy_half(poly: BivariatePolynomial, weight: int) -> list[int]:
-    # s^a*t^b = (x + y)^a*(-xy)^b puts (-1)^b*C(a, r - b) on x^r*y^(weight-r)
-    half = [0] * (weight // 2 + 1)
-    for a, b, c in poly.terms():
-        for r in range(b, min(a + b, weight // 2) + 1):
-            half[r] += (-1) ** b * math.comb(a, r - b) * c
-    return half
-
-
-@given(nonnegative_forms())
-def test_from_xy_inverts_the_expansion_into_x_and_y(drawn):
-    w, p = drawn
-    assert coefficients._from_xy(xy_half(p, w), w) == p
-
-
-def test_from_xy_refuses_a_digit_string_past_half_the_weight():
-    assert coefficients._from_xy([1, 0], 2) == P("s^2 + 2*t")
-    with pytest.raises(ValueError, match="not half"):
-        coefficients._from_xy([1, 0, 1], 2)
+    monkeypatch.setattr(coefficients, step, recorded)
+    assert route(64, 30) == via_quotient(64, 30)
+    assert widths == {bits}
 
 
 @settings(max_examples=30, deadline=None)

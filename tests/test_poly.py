@@ -1,10 +1,11 @@
+import math
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lucasnomial import BivariatePolynomial, IndivisibleError, UnivariatePolynomial
-from lucasnomial.poly import ONE, S, T, ZERO, _digits, _pack, _unpack
+from lucasnomial.poly import ONE, S, T, ZERO, _digits, _from_xy, _pack, _unpack
 
 
 def P(text: str) -> BivariatePolynomial:
@@ -422,11 +423,37 @@ def test_zero_packs_to_zero():
     assert _unpack(0, 7, 5) == ZERO
 
 
-@given(st.lists(st.integers(0, 2**100)), st.sampled_from([1, 7, 8, 16, 90, 96, 104]))
+@given(
+    st.lists(st.integers(0, 2**100)),
+    st.sampled_from([1, 7, 8, 16, 57, 61, 90, 96, 104, 117, 2499, 2505]),
+)
 def test_digits_split_any_width(digits, bits):
-    # whole-byte widths go through to_bytes, the others one shift at a time
+    # whole bytes or not, every width is sliced off the same byte string;
+    # 57, 61 and 117 are recursion widths, 2499 the decode width at
+    # (120, 60), and 2505 is one bit past whole bytes
     digits = [d % (1 << bits) for d in digits]
     while digits and not digits[-1]:
         digits.pop()
     value = sum(d << bits * i for i, d in enumerate(digits))
     assert _digits(value, bits) == digits
+
+
+def xy_half(poly: BivariatePolynomial, weight: int) -> list[int]:
+    # s^a*t^b = (x + y)^a*(-xy)^b puts (-1)^b*C(a, r - b) on x^r*y^(weight-r)
+    half = [0] * (weight // 2 + 1)
+    for a, b, c in poly.terms():
+        for r in range(b, min(a + b, weight // 2) + 1):
+            half[r] += (-1) ** b * math.comb(a, r - b) * c
+    return half
+
+
+@given(packable_polys(max_weight=40))
+def test_from_xy_inverts_the_expansion_into_x_and_y(drawn):
+    w, p = drawn
+    assert _from_xy(xy_half(p, w), w) == p
+
+
+def test_from_xy_refuses_a_digit_string_past_half_the_weight():
+    assert _from_xy([1, 0], 2) == P("s^2 + 2*t")
+    with pytest.raises(ValueError, match="not half"):
+        _from_xy([1, 0, 1], 2)
