@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 
 from .errors import PAIR_BUDGET, DomainError, ResourceError
 
@@ -150,6 +151,14 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _write_lines(lines) -> None:
+    # a listing goes out in blocks of 256 lines, one write each; a block
+    # this small holds no more memory than one line at a time did
+    lines = iter(lines)
+    while block := list(islice(lines, 256)):
+        sys.stdout.write("\n".join(block) + "\n")
+
+
 def _check_listing(count: int, what: str) -> None:
     # refused before the first line; the listings share the pair budget, and
     # the count is capped there, so a huge size is refused in a few steps
@@ -165,11 +174,7 @@ def _cmd_tilings(args) -> int:
     kind = getattr(tilings, _TILING_KINDS[args.kind])
     count = tilings._count(kind, args.n, PAIR_BUDGET)
     _check_listing(count, f"tilings {args.kind} {args.n}")
-    for tiling in tilings.iter_tilings(kind, args.n):
-        line = tiling.text()
-        if args.weights:
-            line += "\t" + tiling.weight().canonical_text()
-        print(line)
+    _write_lines(tilings._listing_lines(kind, args.n, args.weights))
     return 0
 
 
@@ -187,11 +192,7 @@ def _cmd_partitions(args) -> int:
             f"partitions {args.m} {args.n}{flag} would list a line of {length} "
             f"parts, more than {PAIR_BUDGET}, the listing budget"
         )
-    for part in partitions.iter_in_rect(args.m, args.n):
-        line = part.text()
-        if args.complement:
-            line += "\t" + part.complement().text()
-        print(line)
+    _write_lines(partitions._listing_lines(args.m, args.n, args.complement))
     return 0
 
 

@@ -11,14 +11,16 @@ Each sum can be evaluated two ways: `enumerate` visits every tiling pair,
 `gf` multiplies per-part closed forms.  Enumeration is refused above a
 configurable predicted-pair budget.
 
-The enumerate sum builds no TilingPair.  For each partition it checks each
-row and column pool once, by the rule TilingPair applies, and turns it into
-a list of integer codes, one per tiling, with the exponent fields wide
-enough that adding m + n codes never carries.  Each pair is the sum of one
-code from each list, every pair is visited once, and pairs are counted by
-code.  It is never collapsed into a product of per-pool sums, which would
-make it a restatement of the gf closed forms.  iter_pairs still lists the
-pair objects, and the tests check the sum against them.
+The enumerate sum builds no TilingPair and no Partition: it walks the parts
+tuples of the partitions and their complements' parts.  Each distinct row or
+column pool is checked once per sum, on first use, by the rule TilingPair
+applies, and turned into a list of integer codes, one per tiling, with the
+exponent fields wide enough that adding m + n codes never carries.  Each
+pair is the sum of one code from each of its partition's lists, every pair
+is visited once, and pairs are counted by code.  It is never collapsed into
+a product of per-pool sums, which would make it a restatement of the gf
+closed forms.  iter_pairs still lists the pair objects, and the tests check
+the sum against them.
 
 The gf sum walks each partition as its boundary lattice path from (0, 0) to
 (n, m), depth first.  At column x with h rows placed, an up step places a row
@@ -35,6 +37,10 @@ via_recursion_fib, and the theorem check would become that route checking
 itself.  Counting pairs for the budget and sizing the digits below have no
 such concern, so both run that recursion over integers (_path_total).
 
+The closed forms depend only on the flavor and the length, so a verify grid
+builds each one, and its value at s = t = 1, once and shares them across
+its cases; the table goes with the grid.
+
 The walk runs in the integers.  Every closed form is weight-homogeneous
 with nonnegative coefficients, so it is packed once as its value at s = 1,
 t = 2^B (Kronecker substitution), and each step is one integer product.  The
@@ -50,12 +56,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .coefficients import via_quotient
 from .errors import PAIR_BUDGET, DomainError, ResourceError
 from .lucas import check_lemma1, lucas_F, lucas_L
-from .partitions import enumerate_in_rect
+from .partitions import _complement, _part_tuples, enumerate_in_rect
 from .poly import BivariatePolynomial, T, _bit_width, _pack, _power, _unpack
 from .reports import CaseResult, IdentityReport, _case
 from .tilings import (
@@ -171,15 +178,23 @@ def iter_pairs(m: int, n: int, flavor: str):
             yield part, TilingPair(combo[:m], combo[m:], flavor)
 
 
-def _gf_sum(m: int, n: int, flavor: str) -> BivariatePolynomial:
+def _closed_forms(forms: dict, kind: str, top: int) -> list:
+    """(gf(kind, x), its value at s = t = 1) for x = 0..top, each built once
+    per forms table.  A grid shares one table across its cases, so it holds
+    each kind up to the grid's larger side and lives no longer than the grid."""
+    built = forms.setdefault(kind, [])
+    for x in range(len(built), top + 1):
+        p = gf(kind, x)
+        built.append((p, p.eval_int(1, 1)))
+    return built[: top + 1]
+
+
+def _gf_sum(m: int, n: int, flavor: str, forms: dict) -> BivariatePolynomial:
     row_kind, col_kind = _pair_kinds(flavor)
-    row_gfs = [gf(row_kind, x) for x in range(n + 1)]
-    col_gfs = [gf(col_kind, h) for h in range(m + 1)]
+    row_gfs, row_ones = zip(*_closed_forms(forms, row_kind, n))
+    col_gfs, col_ones = zip(*_closed_forms(forms, col_kind, m))
     # no coefficient is negative, so none exceeds the sum's value at s = t = 1
-    at_one = _path_total(
-        [p.eval_int(1, 1) for p in row_gfs], [p.eval_int(1, 1) for p in col_gfs]
-    )
-    bits = _bit_width(at_one)
+    bits = _bit_width(_path_total(row_ones, col_ones))
     # depth-first over boundary paths; a stack entry is (x, h, prefix product)
     ups = [_pack(p, bits) for p in row_gfs]
     rights = [_pack(p, bits) for p in col_gfs]
@@ -224,16 +239,13 @@ def _code_counts(m: int, n: int, flavor: str, width: int) -> Counter:
     """How many tiling pairs have each packed weight code, visiting every
     pair of every partition once; the counts total the number of pairs."""
     row_kind, col_kind = _pair_kinds(flavor)
+    # each distinct row or column pool is checked and coded once, on first
+    # use, and kept for this call only
+    rows = cache(lambda x: _pool_codes(_tiling_pool(row_kind, x), flavor, False, width))
+    cols = cache(lambda h: _pool_codes(_tiling_pool(col_kind, h), flavor, True, width))
     counts: Counter = Counter()
-    for part in enumerate_in_rect(m, n):
-        pools = [
-            _pool_codes(_tiling_pool(row_kind, p), flavor, False, width)
-            for p in part.parts
-        ]
-        pools += [
-            _pool_codes(_tiling_pool(col_kind, p), flavor, True, width)
-            for p in part.complement().parts
-        ]
+    for parts in _part_tuples(m, n):
+        pools = [*map(rows, parts), *map(cols, _complement(parts, n))]
         counts.update(map(sum, product(*pools)))
     return counts
 
@@ -258,11 +270,13 @@ def _check_budget(m: int, n: int, flavor: str, budget: int) -> None:
         )
 
 
-def _rhs(m: int, n: int, flavor: str, mode: str, budget: int) -> BivariatePolynomial:
+def _rhs(
+    m: int, n: int, flavor: str, mode: str, budget: int, forms: dict | None
+) -> BivariatePolynomial:
     if m < 0 or n < 0:
         raise DomainError("rectangle dimensions must be nonnegative")
     if mode == "gf":
-        return _gf_sum(m, n, flavor)
+        return _gf_sum(m, n, flavor, {} if forms is None else forms)
     if mode == "enumerate":
         _check_budget(m, n, flavor, budget)
         return _enumerate_sum(m, n, flavor)
@@ -270,17 +284,30 @@ def _rhs(m: int, n: int, flavor: str, mode: str, budget: int) -> BivariatePolyno
 
 
 def rhs_linear(
-    m: int, n: int, mode: str = "gf", budget: int = PAIR_BUDGET
+    m: int,
+    n: int,
+    mode: str = "gf",
+    budget: int = PAIR_BUDGET,
+    *,
+    forms: dict | None = None,
 ) -> BivariatePolynomial:
-    """Total weight of linear pairs over all partitions in m x n."""
-    return _rhs(m, n, LINEAR_PAIR, mode, budget)
+    """Total weight of linear pairs over all partitions in m x n.  forms is
+    a dict that calls may share to build each gf closed form once; None
+    builds them for this call."""
+    return _rhs(m, n, LINEAR_PAIR, mode, budget, forms)
 
 
 def rhs_circular(
-    m: int, n: int, mode: str = "gf", budget: int = PAIR_BUDGET
+    m: int,
+    n: int,
+    mode: str = "gf",
+    budget: int = PAIR_BUDGET,
+    *,
+    forms: dict | None = None,
 ) -> BivariatePolynomial:
-    """Total weight of circular pairs over all partitions in m x n."""
-    return _rhs(m, n, CIRCULAR_PAIR, mode, budget)
+    """Total weight of circular pairs over all partitions in m x n; forms as
+    for rhs_linear."""
+    return _rhs(m, n, CIRCULAR_PAIR, mode, budget, forms)
 
 
 def _pair_flavors(flavor: str) -> tuple[str, ...]:
@@ -297,15 +324,19 @@ def theorem_cases(
     flavor: str = "both",
     mode: str = "gf",
     budget: int = PAIR_BUDGET,
+    *,
+    forms: dict | None = None,
 ) -> list[CaseResult]:
-    """Compare the tiling sums at one (m, n) against the quotient route."""
+    """Compare the tiling sums at one (m, n) against the quotient route;
+    forms as for rhs_linear."""
     pair_flavors = _pair_flavors(flavor)
     expected = via_quotient(m + n, m)
     out = []
     for pair_flavor in pair_flavors:
         name, _, _, circular = _PAIRS[pair_flavor]
         lhs = expected * (1 << (m + n)) if circular else expected
-        rhs = (rhs_circular if circular else rhs_linear)(m, n, mode, budget)
+        rhs_fn = rhs_circular if circular else rhs_linear
+        rhs = rhs_fn(m, n, mode, budget, forms=forms)
         label = f"theorem {name} m={m} n={n} mode={mode}"
         out.append(_case((name, m, n), label, lhs, rhs))
     return out
@@ -345,10 +376,12 @@ def _theorem_grid(m_max: int, n_max: int, flavor: str, mode: str, budget: int):
         for m, n in [(0, 0)] if budget < 1 else interior:
             for pair_flavor in pair_flavors:
                 _check_budget(m, n, pair_flavor, budget)
+    # one table of gf closed forms for the whole grid, dropped with it
+    forms: dict = {}
     cases = (
         c
         for m, n in _rect(0, m_max, n_max)
-        for c in theorem_cases(m, n, flavor, mode, budget)
+        for c in theorem_cases(m, n, flavor, mode, budget, forms=forms)
     )
     return f"0<=m<={m_max}, 0<=n<={n_max}, flavor={flavor}, mode={mode}", cases
 

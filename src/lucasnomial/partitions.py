@@ -3,6 +3,10 @@
 Parts lists keep their zeros: a partition in an m x n rectangle always has
 exactly m parts, because empty rows and columns carry real weight in the
 circular tiling sums.
+
+The walk over parts tuples, the complement and the text form are functions
+of plain tuples, and Partition calls them; the `partitions` listing and the
+enumerate tiling sum call them directly and build no Partition.
 """
 
 from __future__ import annotations
@@ -42,18 +46,36 @@ class Partition:
 
         Lives in the transposed rectangle: n parts, each at most m.
         """
-        parts, m = self.parts, self.rows
-        # one walk: as the column threshold c falls from n to 1, `above`
-        # only grows, counting the parts that reach column c
-        comp, above = [], 0
-        for c in range(self.cols, 0, -1):
-            while above < m and parts[above] >= c:
-                above += 1
-            comp.append(m - above)
-        return Partition(tuple(comp), m)
+        return Partition(_complement(self.parts, self.cols), self.rows)
 
     def text(self) -> str:
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
+        return _parts_text(self.parts)
+
+
+def _complement(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The complement's parts of a partition with these parts in m x n: for
+    each column c from n down to 1, the number of parts below c."""
+    m = len(parts)
+    # one walk: as the column threshold c falls from n to 1, `above` only
+    # grows, counting the parts that reach column c
+    comp, above = [], 0
+    for c in range(n, 0, -1):
+        while above < m and parts[above] >= c:
+            above += 1
+        comp.append(m - above)
+    return tuple(comp)
+
+
+# the numerals of small parts, looked up instead of converted each time
+_NUMERALS = tuple(map(str, range(100)))
+
+
+def _parts_text(parts: tuple[int, ...]) -> str:
+    # the one text form of a parts list, for Partition.text and the listing;
+    # parts are weakly decreasing, so the first is the largest
+    if parts and parts[0] >= len(_NUMERALS):
+        return "[" + ",".join(map(str, parts)) + "]"
+    return "[" + ",".join(map(_NUMERALS.__getitem__, parts)) + "]"
 
 
 def _part_tuples(length: int, bound: int):
@@ -78,6 +100,19 @@ def iter_in_rect(m: int, n: int):
         raise DomainError("rectangle dimensions must be nonnegative")
     for parts in _part_tuples(m, n):
         yield Partition(parts, n)
+
+
+def _listing_lines(m: int, n: int, complement: bool):
+    """Yield the `partitions` listing lines of enumerate_in_rect(m, n): each
+    partition's text, then with complement a tab and its complement's text.
+    Lines come from the parts tuples with no Partition built."""
+    if m < 0 or n < 0:
+        raise DomainError("rectangle dimensions must be nonnegative")
+    if not complement:
+        yield from map(_parts_text, _part_tuples(m, n))
+        return
+    for parts in _part_tuples(m, n):
+        yield _parts_text(parts) + "\t" + _parts_text(_complement(parts, n))
 
 
 def _count_in_rect(m: int, n: int, cap: int) -> int:

@@ -5,12 +5,18 @@ domino counts like any other.  Two conventions carry real content: the
 empty tiling weighs 1 as a linear tiling but 2 as a circular one, and for
 n = 2 the straight domino and the wrap domino are distinct circular
 tilings (the companion polynomial s^2 + 2t forces both).
+
+One generator yields each tiling as its raw (tiles, wrap) row.  iter_tilings
+wraps the rows in Tiling objects; the `tilings` listing renders its lines
+from the rows directly, through the text function Tiling.text uses, and
+renders each distinct weight once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import starmap
 
 from .errors import DomainError
 from .lucas import lucas_F, lucas_L
@@ -44,10 +50,7 @@ class Tiling:
             raise ValueError("only circular tilings may wrap")
         # the weight is counted once, here; a plain attribute, not a field, so
         # equality, hashing and repr see only kind, tiles and wrap
-        if self.kind == CIRCULAR and not self.tiles and not self.wrap:
-            exponents = (0, 0, 2)
-        else:
-            exponents = (monos, doms + (1 if self.wrap else 0), 1)
+        exponents = _exponents(self.kind == CIRCULAR, monos, doms, self.wrap)
         object.__setattr__(self, "_exponents", exponents)
 
     @property
@@ -65,8 +68,25 @@ class Tiling:
         return self._exponents
 
     def text(self) -> str:
-        parts = (["(D)"] if self.wrap else []) + list(self.tiles)
-        return " ".join(parts) if parts else "(empty)"
+        return _tiles_text(self.tiles, self.wrap)
+
+
+def _exponents(
+    circular: bool, monos: int, doms: int, wrap: bool
+) -> tuple[int, int, int]:
+    # (s-power, t-power, coefficient) of a tiling's weight: the empty
+    # circular tiling weighs 2, and a wrap domino counts like any other
+    if circular and not (monos or doms or wrap):
+        return 0, 0, 2
+    return monos, doms + wrap, 1
+
+
+def _tiles_text(tiles: tuple[str, ...], wrap: bool) -> str:
+    # the one text form of a tiling, for Tiling.text and the listing lines
+    text = " ".join(tiles)
+    if wrap:
+        return "(D) " + text if text else "(D)"
+    return text or "(empty)"
 
 
 def _tile_seqs(n: int):
@@ -88,24 +108,54 @@ def _tile_seqs(n: int):
         seq += [DOMINO] * (rest // 2) + [MONO] * (rest % 2)
 
 
-def iter_tilings(kind: str, n: int):
-    """Yield the tilings of enumerate_tilings(kind, n) one at a time, without
-    building or caching the list."""
+def _rows(kind: str, n: int):
+    """Yield (tiles, wrap) for each tiling of enumerate_tilings(kind, n), in
+    its order, holding only the current one."""
     if n < 0:
         raise DomainError("strip length must be nonnegative")
     if kind == LINEAR:
-        yield from (Tiling(LINEAR, seq) for seq in _tile_seqs(n))
+        yield from ((seq, False) for seq in _tile_seqs(n))
     elif kind == LINEAR_NOLEAD:
         if n == 0:
-            yield Tiling(LINEAR, ())
+            yield (), False
         elif n > 1:
-            yield from (Tiling(LINEAR, (DOMINO,) + rest) for rest in _tile_seqs(n - 2))
+            yield from (((DOMINO,) + rest, False) for rest in _tile_seqs(n - 2))
     elif kind == CIRCULAR:
-        yield from (Tiling(CIRCULAR, seq) for seq in _tile_seqs(n))
+        yield from ((seq, False) for seq in _tile_seqs(n))
         if n >= 2:
-            yield from (Tiling(CIRCULAR, seq, wrap=True) for seq in _tile_seqs(n - 2))
+            yield from ((seq, True) for seq in _tile_seqs(n - 2))
     else:
         raise DomainError(f"unknown tiling kind {kind!r}")
+
+
+def iter_tilings(kind: str, n: int):
+    """Yield the tilings of enumerate_tilings(kind, n) one at a time, without
+    building or caching the list."""
+    strip = CIRCULAR if kind == CIRCULAR else LINEAR
+    for tiles, wrap in _rows(kind, n):
+        yield Tiling(strip, tiles, wrap)
+
+
+def _listing_lines(kind: str, n: int, weights: bool):
+    """Yield the `tilings` listing lines of enumerate_tilings(kind, n): each
+    tiling's text, then with weights a tab and its weight's canonical text.
+    Lines come from the (tiles, wrap) rows with no Tiling built; a weight is
+    rendered once per distinct exponent triple and then looked up."""
+    rows = _rows(kind, n)
+    if not weights:
+        yield from starmap(_tiles_text, rows)
+        return
+    circular = kind == CIRCULAR
+    rendered: dict[tuple[int, int, int], str] = {}
+    for tiles, wrap in rows:
+        monos = tiles.count(MONO)
+        exponents = _exponents(circular, monos, len(tiles) - monos, wrap)
+        weight = rendered.get(exponents)
+        if weight is None:
+            weight = rendered[exponents] = BivariatePolynomial.monomial(
+                *exponents
+            ).canonical_text()
+        yield _tiles_text(tiles, wrap) + "\t" + weight
 
 
 @cache

@@ -132,6 +132,33 @@ def test_partitions_with_complement():
     assert out == "[0]\t[1]\n[1]\t[0]\n"
 
 
+@pytest.mark.parametrize("kind", sorted(cli._TILING_KINDS))
+def test_tiling_listing_lines_equal_the_object_rendering(kind):
+    # the lines are built from raw rows; the objects render them their way
+    strip = getattr(tilings, cli._TILING_KINDS[kind])
+    for n in range(13):
+        objects = list(tilings.iter_tilings(strip, n))
+        plain = "".join(t.text() + "\n" for t in objects)
+        weighted = "".join(
+            t.text() + "\t" + t.weight().canonical_text() + "\n" for t in objects
+        )
+        assert run("tilings", kind, str(n)) == (0, plain, ""), n
+        assert run("tilings", kind, str(n), "--weights") == (0, weighted, ""), n
+
+
+def test_partition_listing_lines_equal_the_object_rendering():
+    for m in range(7):
+        for n in range(7):
+            objects = list(partitions.iter_in_rect(m, n))
+            plain = "".join(p.text() + "\n" for p in objects)
+            paired = "".join(
+                p.text() + "\t" + p.complement().text() + "\n" for p in objects
+            )
+            assert run("partitions", str(m), str(n)) == (0, plain, ""), (m, n)
+            args = ("partitions", str(m), str(n), "--complement")
+            assert run(*args) == (0, paired, ""), (m, n)
+
+
 def test_verify_theorem_passes():
     code, out, _ = run(
         "verify", "theorem", "--m-max", "3", "--n-max", "3", "--mode", "enumerate"
@@ -413,7 +440,8 @@ def test_over_budget_line_is_refused(monkeypatch, args, length):
     def refuse(*args):
         raise AssertionError("a partition was built before the line check")
 
-    monkeypatch.setattr(partitions, "iter_in_rect", refuse)
+    # the listing's lines come from _listing_lines, not from iter_in_rect
+    monkeypatch.setattr(partitions, "_listing_lines", refuse)
     code, out, err = run(*args)
     assert (code, out) == (3, "")
     assert err == (
@@ -423,7 +451,8 @@ def test_over_budget_line_is_refused(monkeypatch, args, length):
 
 
 def test_largest_listings_in_budget_still_list(monkeypatch):
-    # checked by count only: printing 9,227,465 tilings takes over a minute
+    # checked by count only: listing 9,227,465 tilings with weights takes
+    # about 25 s in a fresh process
     assert _count(LINEAR, 34) == 9_227_465 <= PAIR_BUDGET < _count(LINEAR, 35)
     assert comb(24, 12) <= PAIR_BUDGET < comb(26, 13)
     listed = []
@@ -432,8 +461,9 @@ def test_largest_listings_in_budget_still_list(monkeypatch):
         listed.append(args)
         return iter(())
 
-    monkeypatch.setattr(tilings, "iter_tilings", record)
-    monkeypatch.setattr(partitions, "iter_in_rect", record)
+    # the generators the listings consume
+    monkeypatch.setattr(tilings, "_listing_lines", record)
+    monkeypatch.setattr(partitions, "_listing_lines", record)
     assert run("tilings", "linear", "34", "--weights") == (0, "", "")
     assert run("partitions", "12", "12", "--complement") == (0, "", "")
     assert run("partitions", "12", "13") == (0, "", "")
@@ -442,7 +472,8 @@ def test_largest_listings_in_budget_still_list(monkeypatch):
     assert run("partitions", "0", "10000000", "--complement") == (0, "", "")
     assert run("partitions", "0", "1000000000") == (0, "", "")
     assert listed == [
-        (LINEAR, 34), (12, 12), (12, 13), (10000000, 0), (0, 10000000), (0, 1000000000)
+        (LINEAR, 34, True), (12, 12, True), (12, 13, False), (10000000, 0, False),
+        (0, 10000000, True), (0, 1000000000, False),
     ]
 
 

@@ -129,6 +129,27 @@ def test_gf_walk_multiplies_integers_not_polynomials(monkeypatch):
     assert sums == [expected, expected * (1 << 12)]
 
 
+def test_gf_grid_builds_each_closed_form_once(monkeypatch):
+    # per grid, not per case, and not for the life of the process: a second
+    # grid builds them again
+    built = []
+
+    def counted(kind, x):
+        built.append((kind, x))
+        return gf(kind, x)
+
+    monkeypatch.setattr(interpretations, "gf", counted)
+    once = (
+        [(LINEAR, x) for x in range(6)]
+        + [(LINEAR_NOLEAD, h) for h in range(4)]
+        + [(CIRCULAR, x) for x in range(6)]
+    )
+    for grids in (1, 2):
+        _, cases = _theorem_grid(3, 5, "both", "gf", PAIR_BUDGET)
+        assert all(c.passed for c in cases)
+        assert sorted(built) == sorted(once * grids)
+
+
 def test_circular_base_cases():
     assert rhs_circular(1, 1) == P("4*s")
     assert rhs_circular(0, 0) == ONE
@@ -231,6 +252,26 @@ def test_enumerate_sum_checks_every_pool(monkeypatch, pool, fn, message):
     monkeypatch.setattr(interpretations, "_tiling_pool", pool)
     with pytest.raises(ValueError, match=message):
         fn(2, 2, mode="enumerate")
+
+
+@pytest.mark.parametrize("flavor", [LINEAR_PAIR, CIRCULAR_PAIR])
+def test_enumerate_sum_checks_each_pool_once(monkeypatch, flavor, pair_totals):
+    # one pool per distinct row length and per distinct column length, not
+    # one per partition, while every pair is still visited
+    m, n = 3, 4
+    expected = pair_sum(m, n, flavor)
+    calls = []
+    pool = interpretations._tiling_pool
+
+    def counted(kind, length):
+        calls.append((kind, length))
+        return pool(kind, length)
+
+    monkeypatch.setattr(interpretations, "_tiling_pool", counted)
+    fn = rhs_linear if flavor == LINEAR_PAIR else rhs_circular
+    assert fn(m, n, mode="enumerate") == expected
+    assert len(calls) <= (n + 1) + (m + 1)
+    assert pair_totals == [predicted_pair_count(m, n, flavor)]
 
 
 def test_code_width_holds_at_the_largest_rectangle_in_budget():
@@ -342,7 +383,10 @@ def test_over_budget_refusal_enumerates_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("the budget check enumerated partitions")
 
+    # iter_pairs lists partitions through enumerate_in_rect; the enumerate
+    # sum walks their parts tuples
     monkeypatch.setattr(interpretations, "enumerate_in_rect", refuse)
+    monkeypatch.setattr(interpretations, "_part_tuples", refuse)
     for fn in (rhs_linear, rhs_circular):
         with pytest.raises(ResourceError):
             fn(15, 15, mode="enumerate")
