@@ -66,16 +66,10 @@ def _complement(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(comp)
 
 
-# the numerals of small parts, looked up instead of converted each time
-_NUMERALS = tuple(map(str, range(100)))
-
-
-def _parts_text(parts: tuple[int, ...]) -> str:
+def _parts_text(parts: tuple[int, ...], numeral=str) -> str:
     # the one text form of a parts list, for Partition.text and the listing;
-    # parts are weakly decreasing, so the first is the largest
-    if parts and parts[0] >= len(_NUMERALS):
-        return "[" + ",".join(map(str, parts)) + "]"
-    return "[" + ",".join(map(_NUMERALS.__getitem__, parts)) + "]"
+    # numeral turns a part into its text
+    return "[" + ",".join(map(numeral, parts)) + "]"
 
 
 def _part_tuples(length: int, bound: int):
@@ -108,11 +102,14 @@ def _listing_lines(m: int, n: int, complement: bool):
     Lines come from the parts tuples with no Partition built."""
     if m < 0 or n < 0:
         raise DomainError("rectangle dimensions must be nonnegative")
-    if not complement:
-        yield from map(_parts_text, _part_tuples(m, n))
-        return
+    # every part on either side is at most max(m, n), so the listing turns
+    # each numeral into text once and then looks it up
+    numeral = tuple(map(str, range(max(m, n) + 1))).__getitem__
     for parts in _part_tuples(m, n):
-        yield _parts_text(parts) + "\t" + _parts_text(_complement(parts, n))
+        line = _parts_text(parts, numeral)
+        if complement:
+            line += "\t" + _parts_text(_complement(parts, n), numeral)
+        yield line
 
 
 def _count_in_rect(m: int, n: int, cap: int) -> int:

@@ -147,16 +147,17 @@ def test_tiling_listing_lines_equal_the_object_rendering(kind):
 
 
 def test_partition_listing_lines_equal_the_object_rendering():
-    for m in range(7):
-        for n in range(7):
-            objects = list(partitions.iter_in_rect(m, n))
-            plain = "".join(p.text() + "\n" for p in objects)
-            paired = "".join(
-                p.text() + "\t" + p.complement().text() + "\n" for p in objects
-            )
-            assert run("partitions", str(m), str(n)) == (0, plain, ""), (m, n)
-            args = ("partitions", str(m), str(n), "--complement")
-            assert run(*args) == (0, paired, ""), (m, n)
+    # the long thin rectangles hold parts, or complement parts, of 100 and more
+    small = [(m, n) for m in range(7) for n in range(7)]
+    for m, n in small + [(1, 120), (120, 1), (2, 100), (100, 2)]:
+        objects = list(partitions.iter_in_rect(m, n))
+        plain = "".join(p.text() + "\n" for p in objects)
+        paired = "".join(
+            p.text() + "\t" + p.complement().text() + "\n" for p in objects
+        )
+        assert run("partitions", str(m), str(n)) == (0, plain, ""), (m, n)
+        args = ("partitions", str(m), str(n), "--complement")
+        assert run(*args) == (0, paired, ""), (m, n)
 
 
 def test_verify_theorem_passes():
