@@ -53,20 +53,15 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lucasnomial",
-        description="Exact Lucas polynomial and lucasnomial computations, "
-        "tiling enumeration, and identity verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _lucas_parser(sub) -> None:
     p = sub.add_parser("lucas", help="print a sequence polynomial")
     p.add_argument("kind", choices=("F", "L", "factorial"))
     p.add_argument("n", type=_nonneg)
     _add_format(p)
     p.set_defaults(func=_cmd_lucas)
 
+
+def _lucasnomial_parser(sub) -> None:
     p = sub.add_parser("lucasnomial", help="print a lucasnomial coefficient")
     p.add_argument("n", type=_nonneg)
     p.add_argument("k", type=int)
@@ -74,23 +69,31 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_lucasnomial)
 
+
+def _table_parser(sub) -> None:
     p = sub.add_parser("table", help="print the coefficient triangle")
     p.add_argument("n", type=_nonneg, metavar="N")
     _add_format(p)
     p.set_defaults(func=_cmd_table)
 
+
+def _tilings_parser(sub) -> None:
     p = sub.add_parser("tilings", help="list tilings of a strip")
     p.add_argument("kind", choices=sorted(_TILING_KINDS))
     p.add_argument("n", type=_nonneg)
     p.add_argument("--weights", action="store_true")
     p.set_defaults(func=_cmd_tilings)
 
+
+def _partitions_parser(sub) -> None:
     p = sub.add_parser("partitions", help="list partitions in a rectangle")
     p.add_argument("m", type=_nonneg)
     p.add_argument("n", type=_nonneg)
     p.add_argument("--complement", action="store_true")
     p.set_defaults(func=_cmd_partitions)
 
+
+def _verify_parser(sub) -> None:
     p = sub.add_parser("verify", help="verify an identity family exhaustively")
     p.add_argument("kind", choices=("lemma1", "recursions", "theorem"))
     p.add_argument("--m-max", type=_nonneg, default=None)
@@ -104,6 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_verify)
 
+
+def _specialize_parser(sub) -> None:
     p = sub.add_parser("specialize", help="evaluate a coefficient at a preset")
     p.add_argument("n", type=_nonneg)
     p.add_argument("k", type=int)
@@ -114,6 +119,38 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_specialize)
 
+
+# the subcommands in help order, each with the function adding its parser
+_SUBPARSERS = {
+    "lucas": _lucas_parser,
+    "lucasnomial": _lucasnomial_parser,
+    "table": _table_parser,
+    "tilings": _tilings_parser,
+    "partitions": _partitions_parser,
+    "verify": _verify_parser,
+    "specialize": _specialize_parser,
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for argv: when argv starts with a subcommand's name, only
+    that subparser is built, since no other can be reached; otherwise all
+    are, for the top-level help and errors."""
+    parser = argparse.ArgumentParser(
+        prog="lucasnomial",
+        description="Exact Lucas polynomial and lucasnomial computations, "
+        "tiling enumeration, and identity verification.",
+    )
+    if argv and argv[0] in _SUBPARSERS:
+        # the top-level usage, which an unrecognized argument still prints,
+        # lists every subcommand
+        metavar = "{" + ",".join(_SUBPARSERS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+        _SUBPARSERS[argv[0]](sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _SUBPARSERS.values():
+            add(sub)
     return parser
 
 
@@ -140,10 +177,14 @@ def _cmd_table(args) -> int:
     if args.format == "json":
         import json
 
-        # the bytes of json.dumps({"rows": ...}), built one row at a time: the
-        # whole document as Python objects outweighed the triangle itself
-        rows = (json.dumps([p.to_json_dict() for p in row]) for row in triangle.rows)
-        print('{"rows": [' + ", ".join(rows) + "]}")
+        # the bytes of json.dumps({"rows": ...}), written one row at a time:
+        # the whole document, as Python objects or as one string, outweighed
+        # the triangle itself
+        sep = '{"rows": ['
+        for row in triangle.rows:
+            sys.stdout.write(sep + json.dumps([p.to_json_dict() for p in row]))
+            sep = ", "
+        print("]}")
         return 0
     joiner = " & " if args.format == "latex" else " | "
     for row in triangle.rows:
@@ -251,8 +292,8 @@ def _cmd_specialize(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     # argv was parsed under the cap on the digits of int text (Python 3.10.7
     # on); the command runs without it, so exact values of any size print
     cap = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -67,17 +67,18 @@ def _rows(step, seed, m: int, stop):
         yield row
 
 
-def _corner(step, n: int, k: int):
-    # cell (m, rest) with m <= rest, the last of a fill whose row 0 is all 1s
+def _corner(step, n: int, k: int, one=1):
+    # cell (m, rest) with m <= rest, the last of a fill whose row 0 is all ones
     m, rest = sorted((k, n - k))
-    for row in _rows(step, lambda j: 1, m, lambda i: rest):
+    for row in _rows(step, lambda j: one, m, lambda i: rest):
         pass
     return row[-1]
 
 
-def _plain_step(i, j, up, left):
-    # the coefficient itself; Pascal recursion of the plain split
-    return lucas_F(j + 1) * up + T * lucas_F(i - 1) * left
+def _plain_step(fib, t, i, j, up, left):
+    # the coefficient itself; Pascal recursion of the plain split, with
+    # fib(j) the base sequence and t the second variable, in any ring
+    return fib(j + 1) * up + t * fib(i - 1) * left
 
 
 def _fib_step(bits, i, j, up, left):
@@ -154,7 +155,8 @@ def table(max_row: int) -> LucasnomialTable:
     if max_row < 0:
         raise DomainError("row count must be nonnegative")
     # the half i <= j of the triangle i + j <= N, as rows of cells (i, j)
-    half = list(_rows(_plain_step, lambda j: ONE, max_row // 2, lambda i: max_row - i))
+    step = partial(_plain_step, lucas_F, T)
+    half = list(_rows(step, lambda j: ONE, max_row // 2, lambda i: max_row - i))
 
     def cell(n: int, k: int) -> BivariatePolynomial:
         i = min(k, n - k)

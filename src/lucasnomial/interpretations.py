@@ -196,8 +196,10 @@ def _gf_sum(m: int, n: int, flavor: str, forms: dict) -> BivariatePolynomial:
     # no coefficient is negative, so none exceeds the sum's value at s = t = 1
     bits = _bit_width(_path_total(row_ones, col_ones))
     # depth-first over boundary paths; a stack entry is (x, h, prefix product)
-    ups = [_pack(p, bits) for p in row_gfs]
-    rights = [_pack(p, bits) for p in col_gfs]
+    # an edge case reads one form only: m = 0 the column form of length 0,
+    # n = 0 the row form of length 0, so the other list is never packed
+    ups = [_pack(p, bits) for p in row_gfs] if m else []
+    rights = [_pack(p, bits) for p in col_gfs] if n or not m else []
     # the forced tails: right steps at height m, up steps at column n
     right_tail, up_tail = [1], [1]
     acc = 0

@@ -1,17 +1,29 @@
 """Distinguished evaluations of the lucasnomials, with an independent oracle.
 
-Evaluation always happens on the fully computed polynomial, never on integer
-factorial quotients: at points like (1, -1) individual sequence values hit
-zero, which would make a specialize-then-divide scheme ill-defined.
+A coefficient is never specialized as a factorial quotient: at points like
+(1, -1) individual sequence values hit zero, which would make a
+specialize-then-divide scheme ill-defined.  Nor is the (s, t) polynomial
+built and then evaluated.  The plain split's Pascal recursion runs at the
+point itself, over the base sequence's values there, as integers or
+polynomials in q: it only multiplies and adds, so it is a ring map of the
+recursion and stays exact wherever the sequence vanishes.
+
+The q-binomial point s = q + 1, t = -q is x = q, y = 1 under s = x + y,
+t = -xy, so there the coefficient is the x, y form that the plain split's
+packed fill (coefficients.py) already computes at x = 2^B, y = 1: its
+base-2^B digits are the Gaussian binomial's coefficients, read off without
+any polynomial arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
-from .coefficients import via_recursion_fib
+from .coefficients import _corner, _fib_step, _plain_step
 from .errors import DomainError
-from .poly import UnivariatePolynomial
+from .poly import UnivariatePolynomial, _bit_width, _digits
 
 
 @dataclass(frozen=True)
@@ -44,10 +56,18 @@ def specialize(n: int, k: int, preset: SpecializationPreset):
     """Coefficient (n, k) at the preset point: an int, or a polynomial in q."""
     if not 0 <= k <= n:
         raise DomainError(f"specialize needs 0 <= k <= n, got ({n}, {k})")
-    poly = via_recursion_fib(n, k)
-    if preset.is_integer_point:
-        return poly.eval_int(preset.s_sub, preset.t_sub)
-    return poly.subst_univar(preset.s_sub, preset.t_sub)
+    s, t = preset.s_sub, preset.t_sub
+    if (s, t) == (QBINOMIAL.s_sub, QBINOMIAL.t_sub):
+        bits = _bit_width(math.comb(n, k))
+        corner = _corner(partial(_fib_step, bits), n, k)
+        return UnivariatePolynomial(_digits(corner, bits))
+    # F(0..n) at the point: the fill reads F(j + 1) and F(i - 1) for its
+    # cells (i, j) with i <= j and i + j <= n
+    fib = [0, 1]
+    while len(fib) <= n:
+        fib.append(s * fib[-1] + t * fib[-2])
+    one = 1 if preset.is_integer_point else UnivariatePolynomial.one()
+    return _corner(partial(_plain_step, fib.__getitem__, t), n, k, one)
 
 
 def gaussian_binomial_oracle(n: int, k: int) -> UnivariatePolynomial:

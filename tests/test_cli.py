@@ -16,11 +16,10 @@ from lucasnomial import (
     UnivariatePolynomial,
     cli,
     interpretations,
-    lnomial,
     lucas_F,
     partitions,
-    specialize,
     tilings,
+    via_quotient,
 )
 from lucasnomial.cli import main
 from lucasnomial.interpretations import PAIR_BUDGET
@@ -103,6 +102,9 @@ def test_table_json():
     )
     # written a row at a time, in the bytes of one json.dumps of the document
     assert out == json.dumps({"rows": rows}) + "\n"
+    assert run("table", "0", "--format", "json") == (
+        0, '{"rows": [[{"terms": [[0, 0, "1"]]}]]}\n', ""
+    )
 
 
 def test_tilings_with_weights():
@@ -252,6 +254,41 @@ _VERIFY_GOLDENS = {
         '"cases_checked": 6, "passed": true, "failures": []}'
     ],
 }
+
+
+_PARSER_ARGVS = [
+    ["--help"],
+    ["-h", "verify"],
+    [],
+    ["nonsense", "3"],
+    ["verify", "bogus"],
+    ["lucas", "F"],
+    ["lucas", "F", "3", "--bogus"],
+    ["specialize", "5", "2"],
+    *([name, "--help"] for name in cli._SUBPARSERS),
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "-")
+def test_the_parser_for_argv_prints_what_the_whole_parser_does(argv):
+    def parse(parser):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            with pytest.raises(SystemExit) as exit_:
+                parser.parse_args(argv)
+        return exit_.value.code, out.getvalue(), err.getvalue()
+
+    assert parse(cli.build_parser(argv)) == parse(cli.build_parser())
+
+
+def test_a_subcommand_builds_only_its_own_parser(monkeypatch):
+    def refuse(sub):
+        raise AssertionError("built a subparser the command cannot reach")
+
+    for name in cli._SUBPARSERS:
+        if name != "lucas":
+            monkeypatch.setitem(cli._SUBPARSERS, name, refuse)
+    assert run("lucas", "F", "3") == (0, "s^2 + t\n", "")
 
 
 @pytest.mark.parametrize("argv", list(_VERIFY_GOLDENS), ids=" ".join)
@@ -552,7 +589,7 @@ def test_values_past_the_int_text_cap_print_in_full(fmt):
     assert len(text) > cap
     sys.set_int_max_str_digits(0)
     try:
-        assert int(text) == specialize(20, 10, lnomial(ell))
+        assert int(text) == via_quotient(20, 10).eval_int(ell, -1)
     finally:
         sys.set_int_max_str_digits(cap)
 

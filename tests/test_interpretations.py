@@ -450,6 +450,24 @@ def test_gf_digit_width_is_the_bit_length_of_the_value_at_one(monkeypatch, m, n)
         assert set(widths) == {max(1, rhs.eval_int(1, 1).bit_length())}
 
 
+@pytest.mark.parametrize("m, n, packed", [(0, 0, 1), (0, 300, 1), (300, 0, 1), (2, 3, 7)])
+def test_gf_sum_packs_only_the_forms_its_walk_reads(monkeypatch, m, n, packed):
+    # an edge case reads one closed form, so it packs one, however long the
+    # edge; an interior case packs the n + 1 row and m + 1 column forms
+    calls = []
+    pack = interpretations._pack
+
+    def counted(poly, bits):
+        calls.append(poly)
+        return pack(poly, bits)
+
+    monkeypatch.setattr(interpretations, "_pack", counted)
+    for fn, scale in ((rhs_linear, 1), (rhs_circular, 2 ** (m + n))):
+        calls.clear()
+        assert fn(m, n) == via_quotient(m + n, m) * scale
+        assert len(calls) == packed
+
+
 def test_predicted_count_on_the_edges_counts_no_tilings(monkeypatch):
     def refuse(*args):
         raise AssertionError("an edge of the grid counted tilings")

@@ -1,6 +1,7 @@
 import pytest
 
 from lucasnomial import (
+    BivariatePolynomial,
     DomainError,
     FIBONOMIAL,
     QBINOMIAL,
@@ -9,6 +10,15 @@ from lucasnomial import (
     lnomial,
     lucas_F,
     specialize,
+    via_quotient,
+    via_recursion_fib,
+)
+from lucasnomial import coefficients, poly
+from lucasnomial.specializations import SpecializationPreset
+
+# no q-binomial point, so specialize takes its generic fill in q here
+CUSTOM = SpecializationPreset(
+    "custom", UnivariatePolynomial((1, 2)), UnivariatePolynomial((0, 0, 1))
 )
 
 
@@ -63,16 +73,68 @@ def test_gaussian_oracle_pascal_recurrence(n):
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", range(31))
 def test_qbinomial_matches_oracle(n):
     for k in range(n + 1):
         assert specialize(n, k, QBINOMIAL) == gaussian_binomial_oracle(n, k)
 
 
-@pytest.mark.parametrize("n", range(21))
+def test_qbinomial_is_recognized_by_its_values():
+    # a preset equal to QBINOMIAL but built apart gives the same polynomial
+    twin = SpecializationPreset(
+        "twin", UnivariatePolynomial((1, 1)), UnivariatePolynomial((0, -1))
+    )
+    assert specialize(9, 4, twin) == gaussian_binomial_oracle(9, 4)
+
+
+@pytest.mark.parametrize("n", range(31))
 def test_fibonomial_matches_integer_oracle(n):
     for k in range(n + 1):
         assert specialize(n, k, FIBONOMIAL) == fibonomial_int(n, k)
+
+
+@pytest.mark.parametrize("n", range(31))
+def test_lnomial_matches_the_quotient_route_evaluated(n):
+    for ell in (-3, -1, 0, 1, 2, 10**6):
+        for k in range(n + 1):
+            expected = via_quotient(n, k).eval_int(ell, -1)
+            assert specialize(n, k, lnomial(ell)) == expected
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_polynomial_preset_matches_substitution(n):
+    # s = 2q + 1, t = q^2
+    for k in range(n + 1):
+        expected = via_recursion_fib(n, k).subst_univar(CUSTOM.s_sub, CUSTOM.t_sub)
+        assert specialize(n, k, CUSTOM) == expected
+
+
+@pytest.mark.parametrize("n, k", [(0, 0), (7, 0), (7, 7)])
+def test_trivial_coefficients_keep_their_types(n, k):
+    for preset in (FIBONOMIAL, lnomial(-3), lnomial(0)):
+        value = specialize(n, k, preset)
+        assert type(value) is int and value == 1
+    for preset in (QBINOMIAL, CUSTOM):
+        value = specialize(n, k, preset)
+        assert type(value) is UnivariatePolynomial
+        assert value == UnivariatePolynomial.one()
+
+
+def test_specialize_neither_decodes_nor_substitutes(monkeypatch):
+    presets = (FIBONOMIAL, lnomial(1), lnomial(10**6), QBINOMIAL, CUSTOM)
+    expected = [specialize(9, 4, preset) for preset in presets]
+    assert expected[:2] == [fibonomial_int(9, 4), via_poly_value(9, 4)]
+    assert expected[3] == gaussian_binomial_oracle(9, 4)
+
+    def refuse(*args):
+        raise AssertionError("specialize built the (s, t) coefficient")
+
+    monkeypatch.setattr(poly, "_from_xy", refuse)
+    monkeypatch.setattr(coefficients, "_from_xy", refuse)
+    monkeypatch.setattr(coefficients, "via_recursion_fib", refuse)
+    monkeypatch.setattr(BivariatePolynomial, "subst_univar", refuse)
+    monkeypatch.setattr(BivariatePolynomial, "eval_int", refuse)
+    assert [specialize(9, 4, preset) for preset in presets] == expected
 
 
 def test_lnomial_base_sequence_is_periodic_at_ell_one():
@@ -84,13 +146,11 @@ def test_lnomial_base_sequence_is_periodic_at_ell_one():
 
 def test_lnomial_values_are_well_defined_despite_zero_factors():
     # (s, t) = (1, -1) zeroes every third base value, which would break a
-    # specialize-then-divide scheme; evaluating the polynomial stays exact
+    # specialize-then-divide scheme; the fill at the point divides nothing
     assert specialize(6, 3, lnomial(1)) == via_poly_value(6, 3)
 
 
 def via_poly_value(n: int, k: int) -> int:
-    from lucasnomial import via_quotient
-
     return via_quotient(n, k).eval_int(1, -1)
 
 
