@@ -277,6 +277,9 @@ def _cmd_verify(args) -> int:
 def _cmd_specialize(args) -> int:
     from . import specializations
 
+    if args.ell is not None and args.preset != "lnomial":
+        print("error: --ell applies only to --preset lnomial", file=sys.stderr)
+        return 2
     if args.preset == "fibonomial":
         preset = specializations.FIBONOMIAL
     elif args.preset == "qbinomial":

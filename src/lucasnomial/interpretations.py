@@ -37,19 +37,19 @@ via_recursion_fib, and the theorem check would become that route checking
 itself.  Counting pairs for the budget and sizing the digits below have no
 such concern, so both run that recursion over integers (_path_total).
 
-The closed forms depend only on the flavor and the length, so a verify grid
-builds each one, and its value at s = t = 1, once and shares them across
-its cases; the table goes with the grid.
-
 The walk runs in the integers.  Every closed form is weight-homogeneous
-with nonnegative coefficients, so it is packed once as its value at s = 1,
-t = 2^B (Kronecker substitution), and each step is one integer product.  The
-sum has weight m*n, so its value there, read as base-2^B digits, gives back
-every coefficient, provided each is below 2^B.  B is the bit length of the
-sum's value at s = t = 1, which no coefficient exceeds since none is
-negative; that value is the lattice-path total of the closed forms' values
-at s = t = 1.  It only sizes the digits: the decoded sum is still compared
-with the quotient route.
+with nonnegative coefficients, so the walk needs it only as its value at
+s = 1, t = 2^B (Kronecker substitution), and each step is one integer
+product.  Each case evaluates its closed forms at that point straight from
+their recurrence P(j) = s*P(j-1) + t*P(j-2) (tilings._gf_values): it builds
+no polynomial and keeps no table across cases.  The sum has weight m*n, so
+its value there, read as base-2^B digits, gives back every coefficient,
+provided each is below 2^B.  B is the bit length of the sum's value at
+s = t = 1, which no coefficient exceeds since none is negative; that value
+is the lattice-path total of the closed forms' values at s = t = 1, from the
+same recurrence.  It only sizes the digits: the decoded sum is still
+compared with the quotient route, which shares no Lucas polynomial with the
+walk.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .coefficients import via_quotient
 from .errors import PAIR_BUDGET, DomainError, ResourceError
 from .lucas import check_lemma1, lucas_F, lucas_L
 from .partitions import _complement, _part_tuples, enumerate_in_rect
-from .poly import BivariatePolynomial, T, _bit_width, _pack, _power, _unpack
+from .poly import BivariatePolynomial, T, _bit_width, _power, _unpack
 from .reports import CaseResult, IdentityReport, _case
 from .tilings import (
     CIRCULAR,
@@ -72,8 +72,8 @@ from .tilings import (
     MONO,
     Tiling,
     _count,
+    _gf_values,
     _tiling_pool,
-    gf,
 )
 
 LINEAR_PAIR = "linear_pair"
@@ -178,28 +178,17 @@ def iter_pairs(m: int, n: int, flavor: str):
             yield part, TilingPair(combo[:m], combo[m:], flavor)
 
 
-def _closed_forms(forms: dict, kind: str, top: int) -> list:
-    """(gf(kind, x), its value at s = t = 1) for x = 0..top, each built once
-    per forms table.  A grid shares one table across its cases, so it holds
-    each kind up to the grid's larger side and lives no longer than the grid."""
-    built = forms.setdefault(kind, [])
-    for x in range(len(built), top + 1):
-        p = gf(kind, x)
-        built.append((p, p.eval_int(1, 1)))
-    return built[: top + 1]
-
-
-def _gf_sum(m: int, n: int, flavor: str, forms: dict) -> BivariatePolynomial:
+def _gf_sum(m: int, n: int, flavor: str) -> BivariatePolynomial:
     row_kind, col_kind = _pair_kinds(flavor)
-    row_gfs, row_ones = zip(*_closed_forms(forms, row_kind, n))
-    col_gfs, col_ones = zip(*_closed_forms(forms, col_kind, m))
     # no coefficient is negative, so none exceeds the sum's value at s = t = 1
-    bits = _bit_width(_path_total(row_ones, col_ones))
+    bits = _bit_width(
+        _path_total(_gf_values(row_kind, n, 1), _gf_values(col_kind, m, 1))
+    )
     # depth-first over boundary paths; a stack entry is (x, h, prefix product)
     # an edge case reads one form only: m = 0 the column form of length 0,
-    # n = 0 the row form of length 0, so the other list is never packed
-    ups = [_pack(p, bits) for p in row_gfs] if m else []
-    rights = [_pack(p, bits) for p in col_gfs] if n or not m else []
+    # n = 0 the row form of length 0, so the other list is never built
+    ups = _gf_values(row_kind, n, 1 << bits) if m else []
+    rights = _gf_values(col_kind, m, 1 << bits) if n or not m else []
     # the forced tails: right steps at height m, up steps at column n
     right_tail, up_tail = [1], [1]
     acc = 0
@@ -272,13 +261,11 @@ def _check_budget(m: int, n: int, flavor: str, budget: int) -> None:
         )
 
 
-def _rhs(
-    m: int, n: int, flavor: str, mode: str, budget: int, forms: dict | None
-) -> BivariatePolynomial:
+def _rhs(m: int, n: int, flavor: str, mode: str, budget: int) -> BivariatePolynomial:
     if m < 0 or n < 0:
         raise DomainError("rectangle dimensions must be nonnegative")
     if mode == "gf":
-        return _gf_sum(m, n, flavor, {} if forms is None else forms)
+        return _gf_sum(m, n, flavor)
     if mode == "enumerate":
         _check_budget(m, n, flavor, budget)
         return _enumerate_sum(m, n, flavor)
@@ -286,30 +273,17 @@ def _rhs(
 
 
 def rhs_linear(
-    m: int,
-    n: int,
-    mode: str = "gf",
-    budget: int = PAIR_BUDGET,
-    *,
-    forms: dict | None = None,
+    m: int, n: int, mode: str = "gf", budget: int = PAIR_BUDGET
 ) -> BivariatePolynomial:
-    """Total weight of linear pairs over all partitions in m x n.  forms is
-    a dict that calls may share to build each gf closed form once; None
-    builds them for this call."""
-    return _rhs(m, n, LINEAR_PAIR, mode, budget, forms)
+    """Total weight of linear pairs over all partitions in m x n."""
+    return _rhs(m, n, LINEAR_PAIR, mode, budget)
 
 
 def rhs_circular(
-    m: int,
-    n: int,
-    mode: str = "gf",
-    budget: int = PAIR_BUDGET,
-    *,
-    forms: dict | None = None,
+    m: int, n: int, mode: str = "gf", budget: int = PAIR_BUDGET
 ) -> BivariatePolynomial:
-    """Total weight of circular pairs over all partitions in m x n; forms as
-    for rhs_linear."""
-    return _rhs(m, n, CIRCULAR_PAIR, mode, budget, forms)
+    """Total weight of circular pairs over all partitions in m x n."""
+    return _rhs(m, n, CIRCULAR_PAIR, mode, budget)
 
 
 def _pair_flavors(flavor: str) -> tuple[str, ...]:
@@ -326,11 +300,8 @@ def theorem_cases(
     flavor: str = "both",
     mode: str = "gf",
     budget: int = PAIR_BUDGET,
-    *,
-    forms: dict | None = None,
 ) -> list[CaseResult]:
-    """Compare the tiling sums at one (m, n) against the quotient route;
-    forms as for rhs_linear."""
+    """Compare the tiling sums at one (m, n) against the quotient route."""
     pair_flavors = _pair_flavors(flavor)
     expected = via_quotient(m + n, m)
     out = []
@@ -338,7 +309,7 @@ def theorem_cases(
         name, _, _, circular = _PAIRS[pair_flavor]
         lhs = expected * (1 << (m + n)) if circular else expected
         rhs_fn = rhs_circular if circular else rhs_linear
-        rhs = rhs_fn(m, n, mode, budget, forms=forms)
+        rhs = rhs_fn(m, n, mode, budget)
         label = f"theorem {name} m={m} n={n} mode={mode}"
         out.append(_case((name, m, n), label, lhs, rhs))
     return out
@@ -378,12 +349,10 @@ def _theorem_grid(m_max: int, n_max: int, flavor: str, mode: str, budget: int):
         for m, n in [(0, 0)] if budget < 1 else interior:
             for pair_flavor in pair_flavors:
                 _check_budget(m, n, pair_flavor, budget)
-    # one table of gf closed forms for the whole grid, dropped with it
-    forms: dict = {}
     cases = (
         c
         for m, n in _rect(0, m_max, n_max)
-        for c in theorem_cases(m, n, flavor, mode, budget, forms=forms)
+        for c in theorem_cases(m, n, flavor, mode, budget)
     )
     return f"0<=m<={m_max}, 0<=n<={n_max}, flavor={flavor}, mode={mode}", cases
 

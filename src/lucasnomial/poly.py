@@ -8,11 +8,12 @@ product is one convolution per pair of grades, a sum adds aligned runs.
 UnivariatePolynomial, the target of substitutions such as s -> q + 1,
 t -> -q, is the same polynomial in s alone, rendered in q.
 
-This module also owns the two packed forms that carry a weight-homogeneous
-polynomial as one integer of base-2^B digits, B = _bit_width(a digit bound):
-its (s, t) form at s = 1, t = 2^B (_pack, _unpack), which the gf tiling walk
-multiplies, and its symmetric x, y form at x = 2^B, y = 1 under s = x + y,
-t = -xy, which the recursion routes step and _from_xy reads back as (s, t).
+This module also reads back the two packed forms that carry a
+weight-homogeneous polynomial as one integer of base-2^B digits,
+B = _bit_width(a digit bound): its (s, t) form at s = 1, t = 2^B, which the
+gf tiling walk builds from the closed forms' recurrence and _unpack reads,
+and its symmetric x, y form at x = 2^B, y = 1 under s = x + y, t = -xy,
+which the recursion routes step and _from_xy reads back as (s, t).
 """
 
 from __future__ import annotations
@@ -292,27 +293,10 @@ def _convolve(x: list[int], y: list[int]) -> list[int]:
     return out
 
 
-def _pack(poly: BivariatePolynomial, bits: int) -> int:
-    """poly(1, 2^bits), for poly weight-homogeneous with nonnegative
-    coefficients: its one run, read as base-2^bits digits indexed by the
-    t-power.  Evaluation is a ring map, so products and sums of packed values
-    are the packed products and sums; _unpack recovers a result whose
-    coefficients are all below 2^bits."""
-    if len(poly._runs) > 1:
-        raise ValueError(f"{poly.canonical_text()!r} has more than one grade")
-    value = 0
-    for i0, run in poly._runs.values():
-        if min(run) < 0:
-            raise ValueError(f"{poly.canonical_text()!r} has a negative coefficient")
-        for c in reversed(run):
-            value = (value << bits) + c
-        value <<= bits * i0
-    return value
-
-
 def _unpack(value: int, weight: int, bits: int) -> BivariatePolynomial:
-    """The polynomial of grade weight whose coefficients, each below
-    2^bits, are the base-2^bits digits of value; the inverse of _pack."""
+    """The polynomial of grade weight whose value at s = 1, t = 2^bits is
+    value, given that each of its coefficients is below 2^bits: they are the
+    base-2^bits digits of value."""
     if value < 0:
         raise ValueError("a packed polynomial is nonnegative")
     run = _digits(value, bits)

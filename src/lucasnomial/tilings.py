@@ -208,3 +208,19 @@ def gf(kind: str, n: int) -> BivariatePolynomial:
     if kind == CIRCULAR:
         return TWO if n == 0 else lucas_L(n)
     raise DomainError(f"unknown tiling kind {kind!r}")
+
+
+def _gf_values(kind: str, top: int, t: int) -> list[int]:
+    """gf(kind, x) at s = 1 and the integer t, for x = 0..top, from the
+    recurrence P(j) = P(j-1) + t*P(j-2), which F starts from 0, 1 and L from
+    2, 1; no polynomial is built."""
+    if kind not in KINDS:
+        raise DomainError(f"unknown tiling kind {kind!r}")
+    seq = [2, 1] if kind == CIRCULAR else [0, 1]
+    while len(seq) < top + 2:
+        seq.append(seq[-1] + t * seq[-2])
+    if kind == LINEAR:
+        return seq[1 : top + 2]  # F(x + 1)
+    if kind == LINEAR_NOLEAD:
+        return [1, 0, *(t * f for f in seq[1:top])][: top + 1]  # t*F(x - 1)
+    return seq[: top + 1]  # L(x), with L(0) = 2 the empty circular tiling

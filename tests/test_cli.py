@@ -332,6 +332,37 @@ def test_verify_theorem_failure_exits_1(monkeypatch):
     assert len(json.loads(out)["failures"]) == 4
 
 
+@pytest.mark.parametrize("length", [0, 2])
+def test_verify_theorem_checks_the_gf_closed_forms(monkeypatch, length):
+    # the walk's closed-form values are checked, not assumed: one circular
+    # length's value off by 1 fails exactly the circular cases with a row or
+    # a complement column of that length
+    values = interpretations._gf_values
+
+    def off_by_one(kind, top, t):
+        out = values(kind, top, t)
+        if kind == tilings.CIRCULAR and top >= length:
+            out[length] += 1
+        return out
+
+    monkeypatch.setattr(interpretations, "_gf_values", off_by_one)
+    code, out, _ = run("verify", "theorem", "--m-max", "4", "--n-max", "4")
+    uses = [
+        (m, n)
+        for m in range(5)
+        for n in range(5)
+        if any(
+            length in part.parts + part.complement().parts
+            for part in partitions.enumerate_in_rect(m, n)
+        )
+    ]
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL theorem circular m={m} n={n} mode=gf" for m, n in uses
+    ]
+    assert out.splitlines()[-1].endswith(f", {len(uses)} failed")
+
+
 def test_verify_summary_counts_passes_it_does_not_keep(monkeypatch):
     from lucasnomial.poly import S
 
@@ -606,9 +637,14 @@ def test_argv_keeps_the_int_text_cap():
 
 
 def test_specialize_lnomial_requires_ell():
-    code, _, err = run("specialize", "2", "1", "--preset", "lnomial")
-    assert code == 2
-    assert "--ell" in err
+    code, out, err = run("specialize", "2", "1", "--preset", "lnomial")
+    assert (code, out, err) == (2, "", "error: --preset lnomial requires --ell\n")
+
+
+@pytest.mark.parametrize("preset", ["fibonomial", "qbinomial"])
+def test_specialize_ell_needs_the_lnomial_preset(preset):
+    code, out, err = run("specialize", "5", "2", "--preset", preset, "--ell", "3")
+    assert (code, out, err) == (2, "", "error: --ell applies only to --preset lnomial\n")
 
 
 def test_specialize_out_of_range_is_usage_error():

@@ -30,7 +30,7 @@ from lucasnomial import (
     verify_theorem,
     via_quotient,
 )
-from lucasnomial import coefficients, interpretations
+from lucasnomial import coefficients, interpretations, tilings
 from lucasnomial.interpretations import (
     PAIR_BUDGET,
     _code_width,
@@ -111,8 +111,8 @@ def test_gf_walk_uses_no_recursion_memo(monkeypatch):
 
 
 def test_gf_walk_multiplies_integers_not_polynomials(monkeypatch):
-    # the 924 partitions of 6 x 6 are multiplied out as packed integers; the
-    # only polynomial products are those under the closed forms, O(m + n)
+    # the 924 partitions of 6 x 6 are multiplied out as packed integers, and
+    # the closed forms are evaluated as integers, so no polynomial is multiplied
     calls = []
     mul = BivariatePolynomial.__mul__
 
@@ -123,31 +123,25 @@ def test_gf_walk_multiplies_integers_not_polynomials(monkeypatch):
     monkeypatch.setattr(BivariatePolynomial, "__mul__", counted)
     monkeypatch.setattr(BivariatePolynomial, "__rmul__", counted)
     sums = [rhs_linear(6, 6), rhs_circular(6, 6)]
-    assert len(calls) <= 4 * (6 + 6)
+    assert calls == []
     monkeypatch.undo()
     expected = via_quotient(12, 6)
     assert sums == [expected, expected * (1 << 12)]
 
 
-def test_gf_grid_builds_each_closed_form_once(monkeypatch):
-    # per grid, not per case, and not for the life of the process: a second
-    # grid builds them again
-    built = []
+def test_gf_walk_builds_no_closed_form_polynomial(monkeypatch):
+    # each case evaluates its closed forms at its own point from their
+    # recurrence, so no Lucas polynomial is built on the walk's side
+    expected = via_quotient(14, 6), via_quotient(14, 8) * (1 << 14)
 
-    def counted(kind, x):
-        built.append((kind, x))
-        return gf(kind, x)
+    def refuse(*args):
+        raise AssertionError("the gf walk built a closed-form polynomial")
 
-    monkeypatch.setattr(interpretations, "gf", counted)
-    once = (
-        [(LINEAR, x) for x in range(6)]
-        + [(LINEAR_NOLEAD, h) for h in range(4)]
-        + [(CIRCULAR, x) for x in range(6)]
-    )
-    for grids in (1, 2):
-        _, cases = _theorem_grid(3, 5, "both", "gf", PAIR_BUDGET)
-        assert all(c.passed for c in cases)
-        assert sorted(built) == sorted(once * grids)
+    for module in (tilings, interpretations):
+        monkeypatch.setattr(module, "gf", refuse, raising=False)
+        monkeypatch.setattr(module, "lucas_F", refuse)
+        monkeypatch.setattr(module, "lucas_L", refuse)
+    assert (rhs_linear(6, 8), rhs_circular(8, 6)) == expected
 
 
 def test_circular_base_cases():
@@ -436,36 +430,39 @@ def test_bad_arguments():
 
 @pytest.mark.parametrize("m, n", [(6, 6), (10, 3)])
 def test_gf_digit_width_is_the_bit_length_of_the_value_at_one(monkeypatch, m, n):
-    widths = []
-    pack = interpretations._pack
+    points = []
+    values = interpretations._gf_values
 
-    def recorded(poly, bits):
-        widths.append(bits)
-        return pack(poly, bits)
+    def recorded(kind, top, t):
+        points.append(t)
+        return values(kind, top, t)
 
-    monkeypatch.setattr(interpretations, "_pack", recorded)
+    monkeypatch.setattr(interpretations, "_gf_values", recorded)
     for fn in (rhs_linear, rhs_circular):
-        widths.clear()
+        points.clear()
         rhs = fn(m, n)
-        assert set(widths) == {max(1, rhs.eval_int(1, 1).bit_length())}
+        assert set(points) == {1, 1 << max(1, rhs.eval_int(1, 1).bit_length())}
 
 
 @pytest.mark.parametrize("m, n, packed", [(0, 0, 1), (0, 300, 1), (300, 0, 1), (2, 3, 7)])
 def test_gf_sum_packs_only_the_forms_its_walk_reads(monkeypatch, m, n, packed):
-    # an edge case reads one closed form, so it packs one, however long the
-    # edge; an interior case packs the n + 1 row and m + 1 column forms
-    calls = []
-    pack = interpretations._pack
+    # an edge case reads one closed form, so it evaluates one at the walk's
+    # point, however long the edge; an interior case evaluates the n + 1 row
+    # and m + 1 column forms there
+    built = []
+    values = interpretations._gf_values
 
-    def counted(poly, bits):
-        calls.append(poly)
-        return pack(poly, bits)
+    def counted(kind, top, t):
+        out = values(kind, top, t)
+        if t > 1:
+            built.extend(out)
+        return out
 
-    monkeypatch.setattr(interpretations, "_pack", counted)
+    monkeypatch.setattr(interpretations, "_gf_values", counted)
     for fn, scale in ((rhs_linear, 1), (rhs_circular, 2 ** (m + n))):
-        calls.clear()
+        built.clear()
         assert fn(m, n) == via_quotient(m + n, m) * scale
-        assert len(calls) == packed
+        assert len(built) == packed
 
 
 def test_predicted_count_on_the_edges_counts_no_tilings(monkeypatch):

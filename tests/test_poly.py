@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lucasnomial import BivariatePolynomial, IndivisibleError, UnivariatePolynomial
-from lucasnomial.poly import ONE, S, T, ZERO, _digits, _from_xy, _pack, _unpack
+from lucasnomial.poly import ONE, S, T, ZERO, _digits, _from_xy, _unpack
 
 
 def P(text: str) -> BivariatePolynomial:
@@ -391,8 +391,7 @@ def digit_bits(coefficients) -> int:
 def test_pack_round_trip(drawn):
     w, p = drawn
     bits = digit_bits(c for _, _, c in p.terms())
-    packed = _pack(p, bits)
-    assert packed == p.eval_int(1, 1 << bits)
+    packed = p.eval_int(1, 1 << bits)
     assert _unpack(packed, w, bits) == p
 
 
@@ -401,16 +400,13 @@ def test_pack_is_multiplicative(first, second):
     (v, p), (w, q) = first, second
     product = reference_mul(p, q)
     bits = digit_bits(product.values())
-    unpacked = _unpack(_pack(p, bits) * _pack(q, bits), v + w, bits)
+    point = 1 << bits
+    unpacked = _unpack(p.eval_int(1, point) * q.eval_int(1, point), v + w, bits)
     assert term_dict(unpacked) == product
     assert unpacked == p * q
 
 
 def test_pack_refuses_what_it_cannot_carry():
-    with pytest.raises(ValueError, match="more than one grade"):
-        _pack(P("s + t"), 8)
-    with pytest.raises(ValueError, match="negative coefficient"):
-        _pack(P("s^2 - t"), 8)
     with pytest.raises(ValueError):
         _unpack(-1, 0, 4)
     # a grade-2 polynomial has t-powers 0 and 1 only: a third digit is past it
@@ -419,7 +415,7 @@ def test_pack_refuses_what_it_cannot_carry():
 
 
 def test_zero_packs_to_zero():
-    assert _pack(ZERO, 5) == 0
+    assert ZERO.eval_int(1, 1 << 5) == 0
     assert _unpack(0, 7, 5) == ZERO
 
 

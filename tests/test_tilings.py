@@ -17,7 +17,7 @@ from lucasnomial import (
     iter_tilings,
 )
 from lucasnomial.poly import TWO, ZERO
-from lucasnomial.tilings import KINDS, _count
+from lucasnomial.tilings import KINDS, _count, _gf_values
 
 
 def P(text: str) -> BivariatePolynomial:
@@ -175,11 +175,21 @@ def test_no_duplicate_tilings(kind, n):
     assert len(set(tilings)) == len(tilings)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("t", [1, 2, 2**7, 2**64])
+def test_gf_values_are_the_closed_forms_at_the_point(kind, t):
+    for top in range(16):
+        expected = [gf(kind, x).eval_int(1, t) for x in range(top + 1)]
+        assert _gf_values(kind, top, t) == expected, (kind, top)
+
+
 def test_negative_length_rejected():
     with pytest.raises(DomainError):
         enumerate_tilings(LINEAR, -1)
     with pytest.raises(DomainError):
         gf(CIRCULAR, -2)
+    with pytest.raises(DomainError):
+        _gf_values("spiral", 3, 1)
 
 
 @pytest.mark.parametrize("kind", KINDS)
