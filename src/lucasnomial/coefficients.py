@@ -27,9 +27,9 @@ cross-route agreement is a genuine check rather than a tautology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, partial
 
+from ._record import Record
 from .errors import DomainError, IndivisibleError, InternalParityError
 from .lucas import lucas_F, lucas_factorial
 from .poly import BivariatePolynomial, ONE, T, ZERO, _bit_width, _digits, _from_xy
@@ -127,11 +127,13 @@ def via_recursion_luc(n: int, k: int) -> BivariatePolynomial:
     return _from_xy(_digits(corner, bits)[: weight // 2 + 1], weight)
 
 
-@dataclass(frozen=True)
-class LucasnomialTable:
+class LucasnomialTable(Record):
     """Pascal-style triangle of coefficients through row N."""
 
-    rows: tuple[tuple[BivariatePolynomial, ...], ...]
+    __slots__ = __match_args__ = _fields = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[BivariatePolynomial, ...], ...]) -> None:
+        object.__setattr__(self, "rows", rows)
 
     @property
     def max_row(self) -> int:

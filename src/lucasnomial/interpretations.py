@@ -55,10 +55,10 @@ walk.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
+from ._record import Record
 from .coefficients import via_quotient
 from .errors import PAIR_BUDGET, DomainError, ResourceError
 from .lucas import check_lemma1, lucas_F, lucas_L
@@ -87,27 +87,33 @@ _PAIRS = {
 }
 
 
-@dataclass(frozen=True)
-class TilingPair:
+class TilingPair(Record):
     """One tiling per row of a partition plus one per column of its
     complement."""
 
-    row_tilings: tuple[Tiling, ...]
-    col_tilings: tuple[Tiling, ...]
-    flavor: str
+    __match_args__ = _fields = ("row_tilings", "col_tilings", "flavor")
+    __slots__ = (*_fields, "_exponents")
 
-    def __post_init__(self) -> None:
-        if self.flavor not in _PAIRS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        # checked and weighed in one pass; a plain attribute, not a field, so
-        # equality, hashing and repr see only the tilings and the flavor
+    def __init__(
+        self,
+        row_tilings: tuple[Tiling, ...],
+        col_tilings: tuple[Tiling, ...],
+        flavor: str,
+    ) -> None:
+        if flavor not in _PAIRS:
+            raise ValueError(f"unknown flavor {flavor!r}")
+        # checked and weighed in one pass; a slot, not a field, so equality,
+        # hashing and repr see only the tilings and the flavor
         a = b = 0
         c = 1
-        for tilings, columns in ((self.row_tilings, False), (self.col_tilings, True)):
-            for ta, tb, tc in _checked_exponents(tilings, self.flavor, columns):
+        for tilings, columns in ((row_tilings, False), (col_tilings, True)):
+            for ta, tb, tc in _checked_exponents(tilings, flavor, columns):
                 a += ta
                 b += tb
                 c *= tc
+        object.__setattr__(self, "row_tilings", row_tilings)
+        object.__setattr__(self, "col_tilings", col_tilings)
+        object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "_exponents", (a, b, c))
 
     def weight(self) -> BivariatePolynomial:

@@ -73,7 +73,7 @@ def check_lemma1(m: int, n: int) -> IdentityReport:
     is checked doubled (2*F(m+n) = L(n)*F(m) + L(m)*F(n)) so everything
     stays inside integer polynomials.
     """
-    # imported here, so that the sequences alone never load dataclasses
+    # imported here, so that the sequences alone never load reports
     from .reports import IdentityReport, _case
 
     if m < 1:

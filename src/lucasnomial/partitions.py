@@ -11,27 +11,25 @@ enumerate tiling sum call them directly and build no Partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class Partition:
-    parts: tuple[int, ...]
-    cols: int
+class Partition(Record):
+    __slots__ = __match_args__ = _fields = ("parts", "cols")
 
-    def __post_init__(self) -> None:
-        if self.cols < 0:
+    def __init__(self, parts: tuple[int, ...], cols: int) -> None:
+        if cols < 0:
             raise ValueError("column bound must be nonnegative")
-        prev = self.cols
-        for p in self.parts:
+        prev = cols
+        for p in parts:
             if not 0 <= p <= prev:
                 raise ValueError(
-                    f"parts must be weakly decreasing within [0, {self.cols}]: "
-                    f"{self.parts!r}"
+                    f"parts must be weakly decreasing within [0, {cols}]: {parts!r}"
                 )
             prev = p
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "cols", cols)
 
     @property
     def rows(self) -> int:

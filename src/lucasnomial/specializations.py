@@ -18,21 +18,28 @@ any polynomial arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
+from ._record import Record
 from .coefficients import _corner, _fib_step, _plain_step
 from .errors import DomainError
 from .poly import UnivariatePolynomial, _bit_width, _digits
 
 
-@dataclass(frozen=True)
-class SpecializationPreset:
+class SpecializationPreset(Record):
     """A named substitution: integers for s and t, or polynomials in q."""
 
-    name: str
-    s_sub: int | UnivariatePolynomial
-    t_sub: int | UnivariatePolynomial
+    __slots__ = __match_args__ = _fields = ("name", "s_sub", "t_sub")
+
+    def __init__(
+        self,
+        name: str,
+        s_sub: int | UnivariatePolynomial,
+        t_sub: int | UnivariatePolynomial,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "s_sub", s_sub)
+        object.__setattr__(self, "t_sub", t_sub)
 
     @property
     def is_integer_point(self) -> bool:

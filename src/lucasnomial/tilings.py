@@ -14,10 +14,10 @@ renders each distinct weight once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import starmap
 
+from ._record import Record
 from .errors import DomainError
 from .lucas import lucas_F, lucas_L
 from .poly import BivariatePolynomial, ONE, T, TWO, ZERO
@@ -31,26 +31,27 @@ CIRCULAR = "circular"
 KINDS = (LINEAR, LINEAR_NOLEAD, CIRCULAR)
 
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(Record):
     """One covering of a strip; wrap marks the circular domino, which covers
     the last and first squares, so tiles then lists only squares 2..n-1."""
 
-    kind: str
-    tiles: tuple[str, ...]
-    wrap: bool = False
+    __match_args__ = _fields = ("kind", "tiles", "wrap")
+    __slots__ = (*_fields, "_exponents")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (LINEAR, CIRCULAR):
-            raise ValueError(f"unknown tiling kind {self.kind!r}")
-        monos, doms = self.tiles.count(MONO), self.tiles.count(DOMINO)
-        if monos + doms != len(self.tiles):
-            raise ValueError(f"unknown tile in {self.tiles!r}")
-        if self.wrap and self.kind != CIRCULAR:
+    def __init__(self, kind: str, tiles: tuple[str, ...], wrap: bool = False) -> None:
+        if kind not in (LINEAR, CIRCULAR):
+            raise ValueError(f"unknown tiling kind {kind!r}")
+        monos, doms = tiles.count(MONO), tiles.count(DOMINO)
+        if monos + doms != len(tiles):
+            raise ValueError(f"unknown tile in {tiles!r}")
+        if wrap and kind != CIRCULAR:
             raise ValueError("only circular tilings may wrap")
-        # the weight is counted once, here; a plain attribute, not a field, so
-        # equality, hashing and repr see only kind, tiles and wrap
-        exponents = _exponents(self.kind == CIRCULAR, monos, doms, self.wrap)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "tiles", tiles)
+        object.__setattr__(self, "wrap", wrap)
+        # the weight is counted once, here; a slot, not a field, so equality,
+        # hashing and repr see only kind, tiles and wrap
+        exponents = _exponents(kind == CIRCULAR, monos, doms, wrap)
         object.__setattr__(self, "_exponents", exponents)
 
     @property

@@ -93,13 +93,15 @@ def test_bare_import_loads_no_submodule_and_resolves_one_on_access():
     assert out == "[]\nlucasnomial.poly lucasnomial.cli\ns^2 + t\n"
 
 
-# Only lucasnomial modules are checked: the standard library's own import
-# graph differs between Python versions.
+# Only lucasnomial modules are listed: the standard library's own import
+# graph differs between Python versions.  No subcommand may load dataclasses,
+# or inspect, which it would bring in.
 PROBE = """
 import contextlib, io, sys
 from lucasnomial.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(sys.argv[1:]) == 0
+assert not {"dataclasses", "inspect"} & set(sys.modules), sorted(sys.modules)
 print(*sorted(m for m in sys.modules if m.startswith("lucasnomial.")))
 """
 
@@ -120,6 +122,11 @@ print(*sorted(m for m in sys.modules if m.startswith("lucasnomial.")))
         ),
         ("tilings linear 5 --weights", {"tilings"}, {"coefficients", "interpretations"}),
         ("partitions 3 3", {"partitions"}, {"coefficients", "interpretations"}),
+        (
+            "verify theorem --m-max 2 --n-max 2 --mode enumerate",
+            {"interpretations", "tilings", "partitions", "reports"},
+            {"specializations"},
+        ),
     ],
 )
 def test_a_subcommand_loads_only_its_own_modules(args, loaded, absent):
