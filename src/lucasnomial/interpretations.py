@@ -11,14 +11,14 @@ Each sum can be evaluated two ways: `enumerate` visits every tiling pair,
 `gf` multiplies per-part closed forms.  Enumeration is refused above a
 configurable predicted-pair budget.
 
-The enumerate sum builds no TilingPair and no Partition: it walks the parts
-tuples of the partitions and their complements' parts.  Each distinct row or
-column pool is checked once per sum, on first use, by the rule TilingPair
-applies, and turned into a list of integer codes, one per tiling, with the
-exponent fields wide enough that adding m + n codes never carries.  Each
-pair is the sum of one code from each of its partition's lists, every pair
-is visited once, and pairs are counted by code.  It is never collapsed into
-a product of per-pool sums, which would make it a restatement of the gf
+The enumerate sum builds no TilingPair, Partition or Tiling: it walks the
+parts tuples of the partitions and their complements' parts.  Each distinct
+row or column pool is read from tilings._rows once per sum, checked by the
+rule TilingPair applies, and coded as one integer per tiling, with exponent
+fields wide enough that adding m + n codes never carries; no pool outlives
+the sum.  Each pair is the sum of one code from each of its partition's
+lists, every pair is visited once, and pairs are counted by code.  It is
+never collapsed into a product of per-pool sums, which would restate the gf
 closed forms.  iter_pairs still lists the pair objects, and the tests check
 the sum against them.
 
@@ -62,7 +62,7 @@ from ._record import Record
 from .coefficients import via_quotient
 from .errors import PAIR_BUDGET, DomainError, ResourceError
 from .lucas import check_lemma1, lucas_F, lucas_L
-from .partitions import _complement, _part_tuples, enumerate_in_rect
+from .partitions import _complement, _part_tuples, iter_in_rect
 from .poly import BivariatePolynomial, T, _bit_width, _power, _unpack
 from .reports import CaseResult, IdentityReport, _case
 from .tilings import (
@@ -72,8 +72,10 @@ from .tilings import (
     MONO,
     Tiling,
     _count,
+    _exponents,
     _gf_values,
-    _tiling_pool,
+    _rows,
+    enumerate_tilings,
 )
 
 LINEAR_PAIR = "linear_pair"
@@ -102,12 +104,17 @@ class TilingPair(Record):
     ) -> None:
         if flavor not in _PAIRS:
             raise ValueError(f"unknown flavor {flavor!r}")
-        # checked and weighed in one pass; a slot, not a field, so equality,
-        # hashing and repr see only the tilings and the flavor
+        row_kind, col_kind = _PAIRS[flavor][1:3]
+        # checked and weighed in one pass, each tiling's kind and then its row
+        # against its pool's kind; a slot, not a field, so equality, hashing
+        # and repr see only the tilings and the flavor
         a = b = 0
         c = 1
-        for tilings, columns in ((row_tilings, False), (col_tilings, True)):
-            for ta, tb, tc in _checked_exponents(tilings, flavor, columns):
+        for tilings, kind in ((row_tilings, row_kind), (col_tilings, col_kind)):
+            for t in tilings:
+                if t.kind != row_kind:
+                    raise ValueError(f"{flavor} pair holds a {t.kind} tiling")
+                [(ta, tb, tc)] = _checked_exponents([(t.tiles, t.wrap)], kind)
                 a += ta
                 b += tb
                 c *= tc
@@ -124,19 +131,19 @@ class TilingPair(Record):
         return self._exponents
 
 
-def _checked_exponents(tilings, flavor: str, columns: bool):
-    """Yield the weight exponents of each tiling, once it is checked to fit
-    a flavor pair as a row (columns false) or complement column: its kind
-    matches the flavor, and a linear column tiling does not begin with a
-    monomino."""
-    _, kind, col_kind, _ = _PAIRS[flavor]
-    nolead = columns and col_kind == LINEAR_NOLEAD
-    for t in tilings:
-        if t.kind != kind:
-            raise ValueError(f"{flavor} pair holds a {t.kind} tiling")
-        if nolead and t.tiles and t.tiles[0] == MONO:
+def _checked_exponents(rows, kind: str):
+    """Yield the weight exponents of each (tiles, wrap) row of a pool of this
+    kind, once the row is checked to fit the pool: only a circular pool holds
+    a wrap row, and a linear_nolead row, a linear pair's column, does not
+    begin with a monomino."""
+    circular = kind == CIRCULAR
+    for tiles, wrap in rows:
+        if wrap and not circular:
+            # only the linear pair has linear pools
+            raise ValueError("linear_pair pair holds a circular tiling")
+        if kind == LINEAR_NOLEAD and tiles and tiles[0] == MONO:
             raise ValueError("column tilings must not begin with a monomino")
-        yield t.weight_exponents()
+        yield _exponents(circular, tiles, wrap)
 
 
 def _pair_kinds(flavor: str) -> tuple[str, str]:
@@ -177,9 +184,11 @@ def predicted_pair_count(m: int, n: int, flavor: str) -> int:
 def iter_pairs(m: int, n: int, flavor: str):
     """Yield every (partition, TilingPair) object, deterministically ordered."""
     row_kind, col_kind = _pair_kinds(flavor)
-    for part in enumerate_in_rect(m, n):
-        pools = [_tiling_pool(row_kind, p) for p in part.parts]
-        pools += [_tiling_pool(col_kind, p) for p in part.complement().parts]
+    # each distinct pool is listed once, for this call only
+    pool = cache(enumerate_tilings)
+    for part in iter_in_rect(m, n):
+        pools = [pool(row_kind, p) for p in part.parts]
+        pools += [pool(col_kind, p) for p in part.complement().parts]
         for combo in product(*pools):
             yield part, TilingPair(combo[:m], combo[m:], flavor)
 
@@ -223,12 +232,12 @@ def _code_width(m: int, n: int) -> int:
     return (m * n).bit_length() + 1
 
 
-def _pool_codes(pool, flavor: str, columns: bool, width: int) -> list[int]:
+def _pool_codes(kind: str, x: int, width: int) -> list[int]:
     # a tiling's weight s^a t^b c, with c 1 or 2, packed as one integer so
     # that a pair's code is the sum of its tilings' codes
     return [
         a + (b << width) + ((c == 2) << 2 * width)
-        for a, b, c in _checked_exponents(pool, flavor, columns)
+        for a, b, c in _checked_exponents(_rows(kind, x), kind)
     ]
 
 
@@ -238,8 +247,8 @@ def _code_counts(m: int, n: int, flavor: str, width: int) -> Counter:
     row_kind, col_kind = _pair_kinds(flavor)
     # each distinct row or column pool is checked and coded once, on first
     # use, and kept for this call only
-    rows = cache(lambda x: _pool_codes(_tiling_pool(row_kind, x), flavor, False, width))
-    cols = cache(lambda h: _pool_codes(_tiling_pool(col_kind, h), flavor, True, width))
+    rows = cache(lambda x: _pool_codes(row_kind, x, width))
+    cols = cache(lambda h: _pool_codes(col_kind, h, width))
     counts: Counter = Counter()
     for parts in _part_tuples(m, n):
         pools = [*map(rows, parts), *map(cols, _complement(parts, n))]

@@ -6,15 +6,15 @@ empty tiling weighs 1 as a linear tiling but 2 as a circular one, and for
 n = 2 the straight domino and the wrap domino are distinct circular
 tilings (the companion polynomial s^2 + 2t forces both).
 
-One generator yields each tiling as its raw (tiles, wrap) row.  iter_tilings
-wraps the rows in Tiling objects; the `tilings` listing renders its lines
-from the rows directly, through the text function Tiling.text uses, and
-renders each distinct weight once.
+One generator yields each tiling as its raw (tiles, wrap) row, and one
+function weighs a row.  The `tilings` listing and the enumerate tiling sum
+read the rows directly: the listing renders its lines through the text
+function Tiling.text uses, and each distinct weight once.  Tiling objects
+are built only for the public API, by iter_tilings, and nothing keeps them.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import starmap
 
 from ._record import Record
@@ -35,30 +35,23 @@ class Tiling(Record):
     """One covering of a strip; wrap marks the circular domino, which covers
     the last and first squares, so tiles then lists only squares 2..n-1."""
 
-    __match_args__ = _fields = ("kind", "tiles", "wrap")
-    __slots__ = (*_fields, "_exponents")
+    __slots__ = __match_args__ = _fields = ("kind", "tiles", "wrap")
 
     def __init__(self, kind: str, tiles: tuple[str, ...], wrap: bool = False) -> None:
         if kind not in (LINEAR, CIRCULAR):
             raise ValueError(f"unknown tiling kind {kind!r}")
-        monos, doms = tiles.count(MONO), tiles.count(DOMINO)
-        if monos + doms != len(tiles):
+        if tiles.count(MONO) + tiles.count(DOMINO) != len(tiles):
             raise ValueError(f"unknown tile in {tiles!r}")
         if wrap and kind != CIRCULAR:
             raise ValueError("only circular tilings may wrap")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "tiles", tiles)
         object.__setattr__(self, "wrap", wrap)
-        # the weight is counted once, here; a slot, not a field, so equality,
-        # hashing and repr see only kind, tiles and wrap
-        exponents = _exponents(kind == CIRCULAR, monos, doms, wrap)
-        object.__setattr__(self, "_exponents", exponents)
 
     @property
     def length(self) -> int:
         """Number of squares covered."""
-        a, b, _ = self._exponents
-        return a + 2 * b
+        return len(self.tiles) + self.tiles.count(DOMINO) + 2 * self.wrap
 
     def weight(self) -> BivariatePolynomial:
         a, b, c = self.weight_exponents()
@@ -66,20 +59,19 @@ class Tiling(Record):
 
     def weight_exponents(self) -> tuple[int, int, int]:
         """(s-power, t-power, coefficient) of the weight monomial."""
-        return self._exponents
+        return _exponents(self.kind == CIRCULAR, self.tiles, self.wrap)
 
     def text(self) -> str:
         return _tiles_text(self.tiles, self.wrap)
 
 
-def _exponents(
-    circular: bool, monos: int, doms: int, wrap: bool
-) -> tuple[int, int, int]:
-    # (s-power, t-power, coefficient) of a tiling's weight: the empty
-    # circular tiling weighs 2, and a wrap domino counts like any other
-    if circular and not (monos or doms or wrap):
+def _exponents(circular: bool, tiles: tuple, wrap: bool) -> tuple[int, int, int]:
+    # (s-power, t-power, coefficient) of a (tiles, wrap) row's weight: the
+    # empty circular tiling weighs 2, and a wrap domino counts like any other
+    if circular and not (tiles or wrap):
         return 0, 0, 2
-    return monos, doms + wrap, 1
+    monos = tiles.count(MONO)
+    return monos, len(tiles) - monos + wrap, 1
 
 
 def _tiles_text(tiles: tuple[str, ...], wrap: bool) -> str:
@@ -130,8 +122,7 @@ def _rows(kind: str, n: int):
 
 
 def iter_tilings(kind: str, n: int):
-    """Yield the tilings of enumerate_tilings(kind, n) one at a time, without
-    building or caching the list."""
+    """Yield the tilings of enumerate_tilings(kind, n) one at a time."""
     strip = CIRCULAR if kind == CIRCULAR else LINEAR
     for tiles, wrap in _rows(kind, n):
         yield Tiling(strip, tiles, wrap)
@@ -149,19 +140,13 @@ def _listing_lines(kind: str, n: int, weights: bool):
     circular = kind == CIRCULAR
     rendered: dict[tuple[int, int, int], str] = {}
     for tiles, wrap in rows:
-        monos = tiles.count(MONO)
-        exponents = _exponents(circular, monos, len(tiles) - monos, wrap)
+        exponents = _exponents(circular, tiles, wrap)
         weight = rendered.get(exponents)
         if weight is None:
             weight = rendered[exponents] = BivariatePolynomial.monomial(
                 *exponents
             ).canonical_text()
         yield _tiles_text(tiles, wrap) + "\t" + weight
-
-
-@cache
-def _tiling_pool(kind: str, n: int) -> tuple[Tiling, ...]:
-    return tuple(iter_tilings(kind, n))
 
 
 def _count(kind: str, n: int, cap: int | None = None) -> int:
@@ -191,7 +176,7 @@ def enumerate_tilings(kind: str, n: int) -> list[Tiling]:
     monomino, which leaves nothing at n = 1 and only the empty tiling at
     n = 0.  iter_tilings yields the same tilings without the list.
     """
-    return list(_tiling_pool(kind, n))
+    return list(iter_tilings(kind, n))
 
 
 def gf(kind: str, n: int) -> BivariatePolynomial:

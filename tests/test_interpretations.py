@@ -158,13 +158,16 @@ def test_pair_validation(rect_pair_linear):
 
     with pytest.raises(ValueError):
         TilingPair(rect_pair_linear.row_tilings, rect_pair_linear.col_tilings, "odd")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must not begin with a monomino"):
         # column tiling starting with a monomino is not allowed in linear pairs
         TilingPair((), (Tiling(LINEAR, (MONO,)),), LINEAR_PAIR)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="circular_pair pair holds a linear tiling"):
         # kinds must match the flavor
         TilingPair(rect_pair_linear.row_tilings, rect_pair_linear.col_tilings,
                    CIRCULAR_PAIR)
+    with pytest.raises(ValueError, match="linear_pair pair holds a circular tiling"):
+        # a circular tiling is refused whether or not it wraps
+        TilingPair((Tiling(CIRCULAR, (DOMINO,)),), (), LINEAR_PAIR)
 
 
 def test_pair_weight_is_stored_not_a_field(rect_pair_linear):
@@ -224,26 +227,32 @@ def test_enumerate_sum_near_the_budget(pair_totals):
     assert pair_totals == [predicted_pair_count(3, 11, LINEAR_PAIR)] == [6324552]
 
 
+# Pools injected as raw (tiles, wrap) rows, where the enumerate sum reads
+# them.  Every linear row is also a circular row, so a circular pair has no
+# wrong-kind row; test_pair_validation covers that rule on TilingPair.
+
+
 def _odd_pool(kind, length):
-    return (Tiling(CIRCULAR if kind == LINEAR else LINEAR, (DOMINO,) * length),)
+    # a wrap row, which only a circular pool may hold
+    yield (DOMINO,) * (length // 2), True
 
 
 def _leading_monomino_pool(kind, length):
     if kind == LINEAR_NOLEAD and length:
-        return (Tiling(LINEAR, (MONO,) * length),)
-    return enumerate_tilings(kind, length)
+        yield (MONO,) * length, False
+    else:
+        yield from tilings._rows(kind, length)
 
 
 @pytest.mark.parametrize(
     "pool, fn, message",
     [
         (_odd_pool, rhs_linear, "linear_pair pair holds a circular tiling"),
-        (_odd_pool, rhs_circular, "circular_pair pair holds a linear tiling"),
         (_leading_monomino_pool, rhs_linear, "must not begin with a monomino"),
     ],
 )
 def test_enumerate_sum_checks_every_pool(monkeypatch, pool, fn, message):
-    monkeypatch.setattr(interpretations, "_tiling_pool", pool)
+    monkeypatch.setattr(interpretations, "_rows", pool)
     with pytest.raises(ValueError, match=message):
         fn(2, 2, mode="enumerate")
 
@@ -255,17 +264,39 @@ def test_enumerate_sum_checks_each_pool_once(monkeypatch, flavor, pair_totals):
     m, n = 3, 4
     expected = pair_sum(m, n, flavor)
     calls = []
-    pool = interpretations._tiling_pool
 
     def counted(kind, length):
         calls.append((kind, length))
-        return pool(kind, length)
+        return tilings._rows(kind, length)
 
-    monkeypatch.setattr(interpretations, "_tiling_pool", counted)
+    monkeypatch.setattr(interpretations, "_rows", counted)
     fn = rhs_linear if flavor == LINEAR_PAIR else rhs_circular
     assert fn(m, n, mode="enumerate") == expected
     assert len(calls) <= (n + 1) + (m + 1)
     assert pair_totals == [predicted_pair_count(m, n, flavor)]
+
+
+@pytest.mark.parametrize("fn", [rhs_linear, rhs_circular])
+def test_enumerate_sum_builds_no_tiling(monkeypatch, fn):
+    # a size no other test enumerates, so no pool of Tiling objects built
+    # earlier could stand in for one built here
+    def refuse(*args, **kwargs):
+        raise AssertionError("the enumerate sum built a Tiling")
+
+    monkeypatch.setattr(tilings.Tiling, "__init__", refuse)
+    assert fn(1, 23, mode="enumerate") == fn(1, 23, mode="gf")
+
+
+def test_enumerate_sum_keeps_nothing_after_it_returns():
+    tracemalloc.start()
+    try:
+        total = rhs_linear(1, 18, mode="enumerate")
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total == via_quotient(19, 1)
+    # the 4,181 linear tilings of 18 squares alone would take about 1 MB
+    assert retained < 64 * 1024
 
 
 def test_code_width_holds_at_the_largest_rectangle_in_budget():
@@ -377,9 +408,9 @@ def test_over_budget_refusal_enumerates_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("the budget check enumerated partitions")
 
-    # iter_pairs lists partitions through enumerate_in_rect; the enumerate
-    # sum walks their parts tuples
-    monkeypatch.setattr(interpretations, "enumerate_in_rect", refuse)
+    # iter_pairs lists partitions through iter_in_rect; the enumerate sum
+    # walks their parts tuples
+    monkeypatch.setattr(interpretations, "iter_in_rect", refuse)
     monkeypatch.setattr(interpretations, "_part_tuples", refuse)
     for fn in (rhs_linear, rhs_circular):
         with pytest.raises(ResourceError):
