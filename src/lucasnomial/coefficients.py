@@ -50,14 +50,14 @@ def via_quotient(n: int, k: int) -> BivariatePolynomial:
     return top.exact_div(lucas_factorial(j))
 
 
-def _rows(step, seed, m: int, stop):
+def _rows(step, first, m: int, stop):
     """Rows i = 0..m of a symmetric Pascal-style recursion, row i holding the
-    cells (i, i), ..., (i, stop(i)); row 0 is seed(j), and every later cell is
-    step(i, j, up, left) of its neighbours (i-1, j) and (i, j-1).
+    cells (i, i), ..., (i, stop(i)); every cell of row 0 is first, and every
+    later cell is step(i, j, up, left) of its neighbours (i-1, j) and (i, j-1).
 
     Only the previous row is kept, and stop must not grow from row to row.
     The left neighbour of (i, i) is read as its mirror (i-1, i)."""
-    row = [seed(j) for j in range(stop(0) + 1)]
+    row = [first] * (stop(0) + 1)
     yield row
     for i in range(1, m + 1):
         prev, left, row = row, row[1], []
@@ -70,7 +70,7 @@ def _rows(step, seed, m: int, stop):
 def _corner(step, n: int, k: int, one=1):
     # cell (m, rest) with m <= rest, the last of a fill whose row 0 is all ones
     m, rest = sorted((k, n - k))
-    for row in _rows(step, lambda j: one, m, lambda i: rest):
+    for row in _rows(step, one, m, lambda i: rest):
         pass
     return row[-1]
 
@@ -104,15 +104,19 @@ def _luc_step(bits, lows, i, j, up, left):
     return doubled >> 1
 
 
+def _fib_digits(n: int, k: int) -> list[int]:
+    # the plain split's x, y coefficients at (n, k), lowest power of x first
+    bits = _bit_width(math.comb(n, k))
+    return _digits(_corner(partial(_fib_step, bits), n, k), bits)
+
+
 @cache
 def via_recursion_fib(n: int, k: int) -> BivariatePolynomial:
     """Pascal-style recursion seeded by the plain index-addition split."""
     if k < 0 or k > n:
         return ZERO
-    bits = _bit_width(math.comb(n, k))
-    corner = _corner(partial(_fib_step, bits), n, k)
     weight = k * (n - k)
-    return _from_xy(_digits(corner, bits)[: weight // 2 + 1], weight)
+    return _from_xy(_fib_digits(n, k)[: weight // 2 + 1], weight)
 
 
 def via_recursion_luc(n: int, k: int) -> BivariatePolynomial:
@@ -158,7 +162,7 @@ def table(max_row: int) -> LucasnomialTable:
         raise DomainError("row count must be nonnegative")
     # the half i <= j of the triangle i + j <= N, as rows of cells (i, j)
     step = partial(_plain_step, lucas_F, T)
-    half = list(_rows(step, lambda j: ONE, max_row // 2, lambda i: max_row - i))
+    half = list(_rows(step, ONE, max_row // 2, lambda i: max_row - i))
 
     def cell(n: int, k: int) -> BivariatePolynomial:
         i = min(k, n - k)

@@ -9,7 +9,8 @@ Both sequences are built from their closed forms, which count tilings:
 F(n) weighs the linear tilings of n - 1 squares, so its coefficient of
 s^(n-1-2j)*t^j is binomial(n-1-j, j), and L(n) weighs the circular tilings of
 n, with the coefficient n/(n-j)*binomial(n-j, j).  Nothing is memoized, so
-no value outlives its caller and a lookup takes no lock.
+no value outlives its caller and a lookup takes no lock.  _at alone steps
+the recurrence itself, at a point of any ring and from any two seeds.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ def _binomial_run(weight: int, top: int) -> list[int]:
         a = weight - 2 * j
         run.append(run[-1] * a * (a - 1) // ((j + 1) * (top - j)))
     return run
+
+
+def _at(s, t, first, second):
+    """P(0), P(1), ... of P(n) = s*P(n-1) + t*P(n-2) from first and second."""
+    while True:
+        yield first
+        first, second = second, s * second + t * first
 
 
 def lucas_F(n: int) -> BivariatePolynomial:

@@ -17,13 +17,14 @@ any polynomial arithmetic.
 
 from __future__ import annotations
 
-import math
 from functools import partial
+from itertools import islice
 
 from ._record import Record
-from .coefficients import _corner, _fib_step, _plain_step
+from .coefficients import _corner, _fib_digits, _plain_step
 from .errors import DomainError
-from .poly import UnivariatePolynomial, _bit_width, _digits
+from .lucas import _at
+from .poly import UnivariatePolynomial
 
 
 class SpecializationPreset(Record):
@@ -65,14 +66,9 @@ def specialize(n: int, k: int, preset: SpecializationPreset):
         raise DomainError(f"specialize needs 0 <= k <= n, got ({n}, {k})")
     s, t = preset.s_sub, preset.t_sub
     if (s, t) == (QBINOMIAL.s_sub, QBINOMIAL.t_sub):
-        bits = _bit_width(math.comb(n, k))
-        corner = _corner(partial(_fib_step, bits), n, k)
-        return UnivariatePolynomial(_digits(corner, bits))
-    # F(0..n) at the point: the fill reads F(j + 1) and F(i - 1) for its
-    # cells (i, j) with i <= j and i + j <= n
-    fib = [0, 1]
-    while len(fib) <= n:
-        fib.append(s * fib[-1] + t * fib[-2])
+        return UnivariatePolynomial(_fib_digits(n, k))
+    # F(0..n) at the point; cell (i, j), i + j <= n, reads F(j + 1), F(i - 1)
+    fib = list(islice(_at(s, t, 0, 1), n + 1))
     one = 1 if preset.is_integer_point else UnivariatePolynomial.one()
     return _corner(partial(_plain_step, fib.__getitem__, t), n, k, one)
 

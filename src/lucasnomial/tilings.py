@@ -15,11 +15,11 @@ are built only for the public API, by iter_tilings, and nothing keeps them.
 
 from __future__ import annotations
 
-from itertools import starmap
+from itertools import islice, starmap
 
 from ._record import Record
 from .errors import DomainError
-from .lucas import lucas_F, lucas_L
+from .lucas import _at, lucas_F, lucas_L
 from .poly import BivariatePolynomial, ONE, T, TWO, ZERO
 
 MONO = "M"
@@ -149,23 +149,22 @@ def _listing_lines(kind: str, n: int, weights: bool):
         yield _tiles_text(tiles, wrap) + "\t" + weight
 
 
+_SEEDS = {LINEAR: (1, 1), LINEAR_NOLEAD: (1, 0), CIRCULAR: (2, 1)}
+
+
 def _count(kind: str, n: int, cap: int | None = None) -> int:
-    """Tiling count without materializing; matches enumerate_tilings.  Given
-    a cap, the count stops once it passes cap and returns some value above
-    it, so a huge n costs a few steps instead of n big-integer additions."""
-    if kind == LINEAR_NOLEAD:
-        return 1 if n == 0 else 0 if n == 1 else _count(LINEAR, n - 2, cap)
-    if kind not in (LINEAR, CIRCULAR):
+    """Tiling count without materializing; matches enumerate_tilings.  It is
+    gf(kind, n) at s = t = 1, walked from the kind's seed pair, but 1 for the
+    empty circular tiling.  Given a cap, the walk stops at the first length
+    x >= 1 whose count passes cap, since no longer strip has fewer tilings."""
+    if n < 0:
+        raise DomainError("strip length must be nonnegative")
+    if kind not in _SEEDS:
         raise DomainError(f"unknown tiling kind {kind!r}")
-    # linear counts of lengths n - 2, n - 1 and n, the first two 0 below 0
-    before, last, count = 0, 0, 1
-    for _ in range(n):
-        before, last, count = last, count, count + last
-        if cap is not None and count > cap:
+    for x, count in enumerate(islice(_at(1, 1, *_SEEDS[kind]), n + 1)):
+        if cap is not None and x and count > cap:
             break
-    if kind == CIRCULAR and n >= 2:
-        return count + before
-    return count
+    return count if n else 1
 
 
 def enumerate_tilings(kind: str, n: int) -> list[Tiling]:
@@ -197,16 +196,9 @@ def gf(kind: str, n: int) -> BivariatePolynomial:
 
 
 def _gf_values(kind: str, top: int, t: int) -> list[int]:
-    """gf(kind, x) at s = 1 and the integer t, for x = 0..top, from the
-    recurrence P(j) = P(j-1) + t*P(j-2), which F starts from 0, 1 and L from
-    2, 1; no polynomial is built."""
-    if kind not in KINDS:
+    """gf(kind, x) at s = 1 and the integer t for x = 0..top, walked from the
+    seed pair gf(kind, 0), gf(kind, 1): linear 1, 1; linear_nolead 1, 0;
+    circular 2, 1.  No polynomial is built."""
+    if kind not in _SEEDS:
         raise DomainError(f"unknown tiling kind {kind!r}")
-    seq = [2, 1] if kind == CIRCULAR else [0, 1]
-    while len(seq) < top + 2:
-        seq.append(seq[-1] + t * seq[-2])
-    if kind == LINEAR:
-        return seq[1 : top + 2]  # F(x + 1)
-    if kind == LINEAR_NOLEAD:
-        return [1, 0, *(t * f for f in seq[1:top])][: top + 1]  # t*F(x - 1)
-    return seq[: top + 1]  # L(x), with L(0) = 2 the empty circular tiling
+    return list(islice(_at(1, t, *_SEEDS[kind]), top + 1))

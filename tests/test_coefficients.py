@@ -168,7 +168,7 @@ def test_fill_steps_once_per_cell_of_the_mirror_half(m, rest):
         calls.append((i, j))
         return up + left
 
-    rows = list(coefficients._rows(step, lambda j: 1, m, lambda i: rest))
+    rows = list(coefficients._rows(step, 1, m, lambda i: rest))
     assert len(calls) == m * (rest + 1) - m * (m + 1) // 2
     assert len(set(calls)) == len(calls)
     assert all(i <= j for i, j in calls)

@@ -3,6 +3,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import pytest
 
@@ -12,12 +13,14 @@ from lucasnomial import (
     LINEAR,
     CIRCULAR,
     LucasCache,
+    UnivariatePolynomial,
     check_lemma1,
     enumerate_tilings,
     lucas_F,
     lucas_L,
     lucas_factorial,
 )
+from lucasnomial.lucas import _at
 from lucasnomial.poly import ONE, S, T, TWO, ZERO
 
 
@@ -203,6 +206,30 @@ def test_closed_forms_at_one_are_the_fibonacci_and_lucas_numbers():
         assert lucas_F(n).eval_int(1, 1) == fib[0], n
         assert lucas_L(n).eval_int(1, 1) == luc[0], n
         fib, luc = (fib[1], fib[0] + fib[1]), (luc[1], luc[0] + luc[1])
+
+
+# (1, -1) and (0, 1) are points where F vanishes at some index
+@pytest.mark.parametrize("s, t", [(1, 1), (1, -1), (0, 1), (2, -3), (-1, 2), (3, 0)])
+def test_stepper_is_the_closed_forms_at_integer_points(s, t):
+    assert list(islice(_at(s, t, 0, 1), 41)) == [
+        lucas_F(j).eval_int(s, t) for j in range(41)
+    ]
+    assert list(islice(_at(s, t, 2, s), 41)) == [
+        lucas_L(j).eval_int(s, t) for j in range(41)
+    ]
+
+
+def test_stepper_is_the_closed_forms_at_the_q_point():
+    q = UnivariatePolynomial.monomial(1)
+    s, t = q + 1, -q
+    zero, one = UnivariatePolynomial.zero(), UnivariatePolynomial.one()
+    fib = islice(_at(s, t, zero, one), 41)
+    luc = islice(_at(s, t, one + 1, s), 41)
+    for j, (f_j, l_j) in enumerate(zip(fib, luc)):
+        assert type(f_j) is type(l_j) is UnivariatePolynomial, j
+        assert f_j == lucas_F(j).subst_univar(s, t), j
+        # L(j) = x^j + y^j at x = q, y = 1
+        assert l_j == lucas_L(j).subst_univar(s, t) == q**j + 1, j
 
 
 @pytest.mark.parametrize("n", [2, 4, 10, 64, 300, 1000])

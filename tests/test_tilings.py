@@ -152,13 +152,16 @@ def test_counts_match_enumeration():
 
 
 def test_capped_counts_stop_past_the_cap():
+    # the small caps sit where the circular walk falls from L(0) = 2 to 1 and
+    # the nolead walk from 1 to 0
     for kind in KINDS:
-        for n in range(40):
-            exact = _count(kind, n)
-            capped = _count(kind, n, 1000)
-            assert capped == exact if exact <= 1000 else capped > 1000, (kind, n)
-    # a few steps, not 10**9 big-integer additions
-    assert _count(CIRCULAR, 10**9, 10**7) > 10**7
+        for cap in (0, 1, 2, 3, 1000):
+            for n in range(40):
+                exact = _count(kind, n)
+                capped = _count(kind, n, cap)
+                assert capped == exact if exact <= cap else capped > cap, (kind, n, cap)
+        # a few steps, not 10**9 big-integer additions
+        assert _count(kind, 10**9, 10**7) > 10**7
 
 
 def test_counts_need_no_deep_recursion():
@@ -188,6 +191,10 @@ def test_gf_values_are_the_closed_forms_at_the_point(kind, t):
 def test_negative_length_rejected():
     with pytest.raises(DomainError):
         enumerate_tilings(LINEAR, -1)
+    for kind in KINDS:
+        for cap in (None, 0, 10**7):
+            with pytest.raises(DomainError):
+                _count(kind, -1, cap)
     with pytest.raises(DomainError):
         gf(CIRCULAR, -2)
     with pytest.raises(DomainError):
