@@ -480,10 +480,11 @@ def test_over_budget_grid_is_refused_before_any_case(monkeypatch):
     )
 
 
-def test_enumerate_refusal_names_the_first_case_past_a_long_edge():
-    # the 1001 cells of the m = 0 edge hold one pair each and are not priced
+@pytest.mark.parametrize("n_max", ["1000", "1000000000"])
+def test_enumerate_refusal_names_the_first_case_past_a_long_edge(n_max):
+    # the cells of the m = 0 edge hold one pair each and are not priced
     code, out, err = run(
-        "verify", "theorem", "--m-max", "1", "--n-max", "1000", "--mode", "enumerate"
+        "verify", "theorem", "--m-max", "1", "--n-max", n_max, "--mode", "enumerate"
     )
     assert (code, out) == (3, "")
     assert err == (
@@ -502,6 +503,9 @@ def test_enumerate_refusal_names_the_first_case_past_a_long_edge():
         ("partitions", "13", "13"),
         ("partitions", "40", "40"),
         ("partitions", "1000000000", "1000000000"),
+        ("tilings", "linear", "40"),
+        ("tilings", "nolead", "1000000000"),
+        ("tilings", "circular", "1000000000"),
     ],
 )
 def test_over_budget_listing_is_refused(args):
