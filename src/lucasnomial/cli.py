@@ -277,17 +277,13 @@ def _cmd_verify(args) -> int:
 def _cmd_specialize(args) -> int:
     from . import specializations
 
-    if args.ell is not None and args.preset != "lnomial":
-        print("error: --ell applies only to --preset lnomial", file=sys.stderr)
-        return 2
-    if args.preset == "fibonomial":
-        preset = specializations.FIBONOMIAL
-    elif args.preset == "qbinomial":
-        preset = specializations.QBINOMIAL
+    if args.preset != "lnomial":
+        if args.ell is not None:
+            raise DomainError("--ell applies only to --preset lnomial")
+        preset = getattr(specializations, args.preset.upper())  # FIBONOMIAL, QBINOMIAL
+    elif args.ell is None:
+        raise DomainError("--preset lnomial requires --ell")
     else:
-        if args.ell is None:
-            print("error: --preset lnomial requires --ell", file=sys.stderr)
-            return 2
         preset = specializations.lnomial(args.ell)
     value = specializations.specialize(args.n, args.k, preset)
     print(_render(value, args.format))

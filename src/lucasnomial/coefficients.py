@@ -9,7 +9,7 @@ splits, over cells (i, j) standing for C(i+j, i), in the x, y basis of
 s = x + y, t = -xy.  There F(j) = (x^j - y^j)/(x - y) and L(j) = x^j + y^j,
 and every cell is a symmetric form in x and y whose coefficients are
 nonnegative and at most binomial(i+j, i), so each cell is one Python int,
-its packed x, y form (poly.py) with B the bit length of binomial(n, k): a
+its value at x = 2^B, y = 1, with B the bit length of binomial(n, k): a
 step is a few shifts and adds, plus, for the plain split, one exact division
 by x - y = 2^B - 1, a divisor a few machine words long.  The companion-seeded
 recursion doubles each cell, so its step is shifts and adds and one checked
@@ -32,7 +32,7 @@ from functools import cache, partial
 from ._record import Record
 from .errors import DomainError, IndivisibleError, InternalParityError
 from .lucas import lucas_F, lucas_factorial
-from .poly import BivariatePolynomial, ONE, T, ZERO, _bit_width, _digits, _from_xy
+from .poly import BivariatePolynomial, ONE, T, ZERO, _bit_width, _digits, _unpack
 
 
 @cache
@@ -110,6 +110,42 @@ def _fib_digits(n: int, k: int) -> list[int]:
     return _digits(_corner(partial(_fib_step, bits), n, k), bits)
 
 
+def _companion_sum(half: list[int], weight: int, bits: int) -> int:
+    """The sum over r of (-t)^r*half[r]*L(weight - 2r), with L(0) read as 1,
+    at s = 1 and t = 2^bits.
+
+    By Clenshaw's recurrence b(m) = d(m) + b(m+1) + t*b(m+2), m = weight..1,
+    where d(weight - 2r) is the r-th term's factor (-t)^r*half[r]: the sum
+    over m >= 1 is L(1)*b(1) + t*L(0)*b(2), so no L(m) is ever formed and
+    every step only shifts and adds."""
+
+    def factor(r):
+        d = half[r] << bits * r
+        return -d if r % 2 else d
+
+    b1 = b2 = 0
+    for m in range(weight, 0, -1):
+        b1, b2 = b1 + (b2 << bits), b1
+        if (weight - m) % 2 == 0:
+            b1 += factor((weight - m) // 2)
+    total = b1 + (b2 << bits + 1)
+    return total + factor(weight // 2) if weight % 2 == 0 else total
+
+
+def _from_xy(half: list[int], weight: int) -> BivariatePolynomial:
+    """The (s, t) form of the symmetric x, y form of the given weight whose
+    coefficients of x^r*y^(weight-r), r = 0..weight//2, are half.
+
+    Pairing x^r*y^(w-r) with its mirror gives (-t)^r*L(w-2r), and the middle
+    monomial of an even weight is (-t)^(w/2) alone.  The sum is taken at
+    s = t = 1 to size the digits, then at s = 1, t = 2^bits and unpacked, so
+    the (s, t) coefficients must be nonnegative, as every lucasnomial's are."""
+    if len(half) != weight // 2 + 1:
+        raise ValueError(f"{len(half)} digits are not half an x, y form of weight {weight}")
+    bits = _bit_width(_companion_sum(half, weight, 0))
+    return _unpack(_companion_sum(half, weight, bits), weight, bits)
+
+
 @cache
 def via_recursion_fib(n: int, k: int) -> BivariatePolynomial:
     """Pascal-style recursion seeded by the plain index-addition split."""
@@ -135,9 +171,6 @@ class LucasnomialTable(Record):
     """Pascal-style triangle of coefficients through row N."""
 
     __slots__ = __match_args__ = _fields = ("rows",)
-
-    def __init__(self, rows: tuple[tuple[BivariatePolynomial, ...], ...]) -> None:
-        object.__setattr__(self, "rows", rows)
 
     @property
     def max_row(self) -> int:

@@ -70,7 +70,6 @@ from .tilings import (
     LINEAR,
     LINEAR_NOLEAD,
     MONO,
-    Tiling,
     _count,
     _exponents,
     _gf_values,
@@ -96,12 +95,8 @@ class TilingPair(Record):
     __match_args__ = _fields = ("row_tilings", "col_tilings", "flavor")
     __slots__ = (*_fields, "_exponents")
 
-    def __init__(
-        self,
-        row_tilings: tuple[Tiling, ...],
-        col_tilings: tuple[Tiling, ...],
-        flavor: str,
-    ) -> None:
+    def _check(self) -> None:
+        row_tilings, col_tilings, flavor = self._values()
         if flavor not in _PAIRS:
             raise ValueError(f"unknown flavor {flavor!r}")
         row_kind, col_kind = _PAIRS[flavor][1:3]
@@ -118,9 +113,6 @@ class TilingPair(Record):
                 a += ta
                 b += tb
                 c *= tc
-        object.__setattr__(self, "row_tilings", row_tilings)
-        object.__setattr__(self, "col_tilings", col_tilings)
-        object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "_exponents", (a, b, c))
 
     def weight(self) -> BivariatePolynomial:

@@ -18,7 +18,8 @@ from .errors import DomainError
 class Partition(Record):
     __slots__ = __match_args__ = _fields = ("parts", "cols")
 
-    def __init__(self, parts: tuple[int, ...], cols: int) -> None:
+    def _check(self) -> None:
+        parts, cols = self._values()
         if cols < 0:
             raise ValueError("column bound must be nonnegative")
         prev = cols
@@ -28,8 +29,6 @@ class Partition(Record):
                     f"parts must be weakly decreasing within [0, {cols}]: {parts!r}"
                 )
             prev = p
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "cols", cols)
 
     @property
     def rows(self) -> int:

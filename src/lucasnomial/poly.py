@@ -8,12 +8,10 @@ product is one convolution per pair of grades, a sum adds aligned runs.
 UnivariatePolynomial, the target of substitutions such as s -> q + 1,
 t -> -q, is the same polynomial in s alone, rendered in q.
 
-This module also reads back the two packed forms that carry a
+This module also reads back the packed form that carries a
 weight-homogeneous polynomial as one integer of base-2^B digits,
-B = _bit_width(a digit bound): its (s, t) form at s = 1, t = 2^B, which the
-gf tiling walk builds from the closed forms' recurrence and _unpack reads,
-and its symmetric x, y form at x = 2^B, y = 1 under s = x + y, t = -xy,
-which the recursion routes step and _from_xy reads back as (s, t).
+B = _bit_width(a digit bound): its value at s = 1, t = 2^B, which the gf
+tiling walk builds from the closed forms' recurrence and _unpack reads.
 """
 
 from __future__ import annotations
@@ -327,42 +325,6 @@ def _digits(value: int, bits: int) -> list[int]:
         (int.from_bytes(raw[i // 8 : (i + bits + 7) // 8], "little") >> i % 8) & mask
         for i in range(0, value.bit_length(), bits)
     ]
-
-
-def _companion_sum(half: list[int], weight: int, bits: int) -> int:
-    """The sum over r of (-t)^r*half[r]*L(weight - 2r), with L(0) read as 1,
-    at s = 1 and t = 2^bits.
-
-    By Clenshaw's recurrence b(m) = d(m) + b(m+1) + t*b(m+2), m = weight..1,
-    where d(weight - 2r) is the r-th term's factor (-t)^r*half[r]: the sum
-    over m >= 1 is L(1)*b(1) + t*L(0)*b(2), so no L(m) is ever formed and
-    every step only shifts and adds."""
-
-    def factor(r):
-        d = half[r] << bits * r
-        return -d if r % 2 else d
-
-    b1 = b2 = 0
-    for m in range(weight, 0, -1):
-        b1, b2 = b1 + (b2 << bits), b1
-        if (weight - m) % 2 == 0:
-            b1 += factor((weight - m) // 2)
-    total = b1 + (b2 << bits + 1)
-    return total + factor(weight // 2) if weight % 2 == 0 else total
-
-
-def _from_xy(half: list[int], weight: int) -> BivariatePolynomial:
-    """The (s, t) form of the symmetric x, y form of the given weight whose
-    coefficients of x^r*y^(weight-r), r = 0..weight//2, are half.
-
-    Pairing x^r*y^(w-r) with its mirror gives (-t)^r*L(w-2r), and the middle
-    monomial of an even weight is (-t)^(w/2) alone.  The sum is taken at
-    s = t = 1 to size the digits, then at s = 1, t = 2^bits and unpacked, so
-    the (s, t) coefficients must be nonnegative, as every lucasnomial's are."""
-    if len(half) != weight // 2 + 1:
-        raise ValueError(f"{len(half)} digits are not half an x, y form of weight {weight}")
-    bits = _bit_width(_companion_sum(half, weight, 0))
-    return _unpack(_companion_sum(half, weight, bits), weight, bits)
 
 
 def _render_terms(terms, latex: bool) -> str:

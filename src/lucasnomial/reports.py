@@ -3,27 +3,12 @@
 from __future__ import annotations
 
 from ._record import Record
-from .poly import BivariatePolynomial
 
 
 class CaseResult(Record):
     """Outcome of one identity instance: family name plus the parameters."""
 
     __slots__ = __match_args__ = _fields = ("key", "label", "passed", "lhs", "rhs")
-
-    def __init__(
-        self,
-        key: tuple,
-        label: str,
-        passed: bool,
-        lhs: BivariatePolynomial,
-        rhs: BivariatePolynomial,
-    ) -> None:
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} {self.label}"
@@ -42,18 +27,7 @@ class IdentityReport(Record):
     __slots__ = __match_args__ = _fields = (
         "identity", "parameter_range", "cases", "passes_not_kept"
     )
-
-    def __init__(
-        self,
-        identity: str,
-        parameter_range: str,
-        cases: tuple[CaseResult, ...],
-        passes_not_kept: int = 0,
-    ) -> None:
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "parameter_range", parameter_range)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "passes_not_kept", passes_not_kept)
+    _defaults = (0,)
 
     @property
     def failures(self) -> tuple[CaseResult, ...]:

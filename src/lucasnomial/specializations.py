@@ -32,16 +32,6 @@ class SpecializationPreset(Record):
 
     __slots__ = __match_args__ = _fields = ("name", "s_sub", "t_sub")
 
-    def __init__(
-        self,
-        name: str,
-        s_sub: int | UnivariatePolynomial,
-        t_sub: int | UnivariatePolynomial,
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "s_sub", s_sub)
-        object.__setattr__(self, "t_sub", t_sub)
-
     @property
     def is_integer_point(self) -> bool:
         return isinstance(self.s_sub, int)

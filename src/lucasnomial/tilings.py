@@ -36,17 +36,16 @@ class Tiling(Record):
     the last and first squares, so tiles then lists only squares 2..n-1."""
 
     __slots__ = __match_args__ = _fields = ("kind", "tiles", "wrap")
+    _defaults = (False,)
 
-    def __init__(self, kind: str, tiles: tuple[str, ...], wrap: bool = False) -> None:
+    def _check(self) -> None:
+        kind, tiles, wrap = self._values()
         if kind not in (LINEAR, CIRCULAR):
             raise ValueError(f"unknown tiling kind {kind!r}")
         if tiles.count(MONO) + tiles.count(DOMINO) != len(tiles):
             raise ValueError(f"unknown tile in {tiles!r}")
         if wrap and kind != CIRCULAR:
             raise ValueError("only circular tilings may wrap")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "tiles", tiles)
-        object.__setattr__(self, "wrap", wrap)
 
     @property
     def length(self) -> int:

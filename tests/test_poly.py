@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lucasnomial import BivariatePolynomial, IndivisibleError, UnivariatePolynomial
-from lucasnomial.poly import ONE, S, T, ZERO, _digits, _from_xy, _unpack
+from lucasnomial.coefficients import _from_xy
+from lucasnomial.poly import ONE, S, T, ZERO, _digits, _unpack
 
 
 def P(text: str) -> BivariatePolynomial:

@@ -129,3 +129,28 @@ def test_match_args_destructure_a_record():
     match Tiling(CIRCULAR, (MONO,), True):
         case Tiling(kind, tiles, wrap):
             assert (kind, tiles, wrap) == (CIRCULAR, (MONO,), True)
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, defaults", [r[:3] for r in RECORDS], ids=[r[0].__name__ for r in RECORDS]
+)
+def test_the_constructor_refuses_a_bad_argument_list(cls, kwargs, defaults):
+    values = [*kwargs.values(), *defaults.values()]
+    first = cls._fields[0]
+    rest = {name: value for name, value in kwargs.items() if name != first}
+    for args, named, message in (
+        ((), rest, f"missing argument '{first}'"),
+        ((), {**kwargs, "colour": 1}, "unexpected keyword argument 'colour'"),
+        (values[:1], kwargs, f"multiple values for argument '{first}'"),
+        ((*values, None), {}, f"takes {len(values)} arguments, not {len(values) + 1}"),
+    ):
+        with pytest.raises(TypeError, match=message):
+            cls(*args, **named)
+
+
+def test_an_invariant_is_checked_when_built_by_keyword():
+    with pytest.raises(ValueError, match="^only circular tilings may wrap$"):
+        Tiling(kind=LINEAR, tiles=(MONO,), wrap=True)
+    with pytest.raises(ValueError) as error:
+        Partition(parts=(1, 2), cols=3)
+    assert str(error.value) == "parts must be weakly decreasing within [0, 3]: (1, 2)"

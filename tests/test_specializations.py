@@ -129,7 +129,6 @@ def test_specialize_neither_decodes_nor_substitutes(monkeypatch):
     def refuse(*args):
         raise AssertionError("specialize built the (s, t) coefficient")
 
-    monkeypatch.setattr(poly, "_from_xy", refuse)
     monkeypatch.setattr(coefficients, "_from_xy", refuse)
     monkeypatch.setattr(coefficients, "via_recursion_fib", refuse)
     monkeypatch.setattr(BivariatePolynomial, "subst_univar", refuse)
