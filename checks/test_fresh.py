@@ -155,4 +155,35 @@ def test_F_and_L_6000_from_their_closed_forms():
     for _ in range(6000):
         fib, luc = (fib[1], sum(fib)), (luc[1], sum(luc))
     assert (f_sum, l_sum) == (fib[0], luc[0]), "a coefficient sum is not F(6000) or L(6000)"
-    assert f_peak < 50 and l_peak < 50
+    # printed a block of terms at a time: the whole text took 21 and 27 MB
+    assert f_peak < 20 and l_peak < 20
+
+
+def _fib(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_table_40_as_json_streams():
+    out, _, peak = fresh("table", "40", "--format", "json")
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 41
+    # at s = t = 1 an entry is the fibonomial F(40)...F(41-k)/(F(1)...F(k))
+    top = bottom = 1
+    for k, entry in enumerate(rows[40]):
+        assert sum(int(c) for _, _, c in entry["terms"]) == top // bottom, k
+        top, bottom = top * _fib(40 - k), bottom * _fib(k + 1)
+    # the document written whole, or a row at a time, took 19.8 MB
+    assert peak < 18.5
+
+
+def test_factorial_90_as_json_streams():
+    out, _, peak = fresh("lucas", "factorial", "90", "--format", "json")
+    total = 1
+    for i in range(1, 91):
+        total *= _fib(i)
+    assert sum(int(c) for _, _, c in json.loads(out)["terms"]) == total
+    # json.dumps of the whole document took 20.9 MB
+    assert peak < 19

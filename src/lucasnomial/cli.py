@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from .errors import PAIR_BUDGET, DomainError, ResourceError
 
@@ -35,16 +35,20 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _render(value, fmt: str) -> str:
-    """A polynomial of either class, or an integer, in one output format."""
-    if fmt == "json":
-        import json
+def _print(value, fmt: str) -> None:
+    """Print a polynomial of either class, or an integer, in one output format."""
+    if isinstance(value, int):
+        print(f'{{"value": "{value}"}}' if fmt == "json" else value)
+    else:
+        _write(chain(value._pieces(fmt), ("\n",)))
 
-        doc = {"value": str(value)} if isinstance(value, int) else value.to_json_dict()
-        return json.dumps(doc)
-    if fmt == "latex" and not isinstance(value, int):
-        return value.latex()
-    return str(value)
+
+def _joined(sep: str, parts):
+    # the pieces of each part in turn, with sep between two parts
+    for i, part in enumerate(parts):
+        if i:
+            yield sep
+        yield from part
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -158,7 +162,7 @@ def _cmd_lucas(args) -> int:
     from . import lucas
 
     seq = getattr(lucas, f"lucas_{args.kind}")  # lucas_F, lucas_L or lucas_factorial
-    print(_render(seq(args.n), args.format))
+    _print(seq(args.n), args.format)
     return 0
 
 
@@ -166,38 +170,31 @@ def _cmd_lucasnomial(args) -> int:
     from . import coefficients
 
     poly = getattr(coefficients, _METHODS[args.method])(args.n, args.k)
-    print(_render(poly, args.format))
+    _print(poly, args.format)
     return 0
 
 
 def _cmd_table(args) -> int:
     from . import coefficients
 
-    triangle = coefficients.table(args.n)
-    if args.format == "json":
-        import json
-
-        # the bytes of json.dumps({"rows": ...}), written one row at a time:
-        # the whole document, as Python objects or as one string, outweighed
-        # the triangle itself
-        sep = '{"rows": ['
-        for row in triangle.rows:
-            sys.stdout.write(sep + json.dumps([p.to_json_dict() for p in row]))
-            sep = ", "
-        print("]}")
-        return 0
-    joiner = " & " if args.format == "latex" else " | "
-    for row in triangle.rows:
-        print(joiner.join(_render(p, args.format) for p in row))
+    fmt = args.format
+    sep = {"json": ", ", "latex": " & "}.get(fmt, " | ")
+    rows = coefficients.table(args.n).rows
+    row_pieces = (_joined(sep, (p._pieces(fmt) for p in row)) for row in rows)
+    if fmt == "json":
+        # the bytes of json.dumps({"rows": [[p.to_json_dict() for p in row] ...]})
+        _write(chain(('{"rows": [[',), _joined("], [", row_pieces), (']]}\n',)))
+    else:
+        _write(chain(_joined("\n", row_pieces), ("\n",)))
     return 0
 
 
-def _write_lines(lines) -> None:
-    # a listing goes out in blocks of 256 lines, one write each; a block
-    # this small holds no more memory than one line at a time did
-    lines = iter(lines)
-    while block := list(islice(lines, 256)):
-        sys.stdout.write("\n".join(block) + "\n")
+def _write(pieces, sep: str = "") -> None:
+    # a listing's lines or a polynomial's terms go out in blocks of 256, one
+    # write each, so no command holds its whole output at once
+    pieces = iter(pieces)
+    while block := list(islice(pieces, 256)):
+        sys.stdout.write(sep.join(block) + sep)
 
 
 def _check_listing(count: int, what: str) -> None:
@@ -215,7 +212,7 @@ def _cmd_tilings(args) -> int:
     kind = getattr(tilings, _TILING_KINDS[args.kind])
     count = tilings._count(kind, args.n, PAIR_BUDGET)
     _check_listing(count, f"tilings {args.kind} {args.n}")
-    _write_lines(tilings._listing_lines(kind, args.n, args.weights))
+    _write(tilings._listing_lines(kind, args.n, args.weights), "\n")
     return 0
 
 
@@ -233,7 +230,7 @@ def _cmd_partitions(args) -> int:
             f"partitions {args.m} {args.n}{flag} would list a line of {length} "
             f"parts, more than {PAIR_BUDGET}, the listing budget"
         )
-    _write_lines(partitions._listing_lines(args.m, args.n, args.complement))
+    _write(partitions._listing_lines(args.m, args.n, args.complement), "\n")
     return 0
 
 
@@ -286,7 +283,7 @@ def _cmd_specialize(args) -> int:
     else:
         preset = specializations.lnomial(args.ell)
     value = specializations.specialize(args.n, args.k, preset)
-    print(_render(value, args.format))
+    _print(value, args.format)
     return 0
 
 

@@ -35,8 +35,7 @@ from .lucas import lucas_F, lucas_factorial
 from .poly import BivariatePolynomial, ONE, T, ZERO, _bit_width, _digits, _unpack
 
 
-@cache
-def via_quotient(n: int, k: int) -> BivariatePolynomial:
+def _quotient(n: int, k: int) -> BivariatePolynomial:
     """Factorial quotient; 0 outside 0 <= k <= n.
 
     With j = min(k, n - k), F(n)!/F(n-j)! cancels to the j top factors, so
@@ -48,6 +47,10 @@ def via_quotient(n: int, k: int) -> BivariatePolynomial:
     for i in range(n - j + 1, n + 1):
         top = top * lucas_F(i)
     return top.exact_div(lucas_factorial(j))
+
+
+# table's spot checks call _quotient, so they fill no memo
+via_quotient = cache(_quotient)
 
 
 def _rows(step, first, m: int, stop):
@@ -185,7 +188,8 @@ class LucasnomialTable(Record):
 def table(max_row: int) -> LucasnomialTable:
     """Full triangle through the given row, filled once by the plain split's
     recursion and spot-checked against the quotient route on one entry per
-    row plus the whole last row.
+    row plus the whole last row.  The checks bypass via_quotient's memo,
+    which would otherwise keep every sample, a copy of the last row among them.
 
     Unlike via_recursion_fib it fills in s and t, with polynomial products:
     it needs every cell in (s, t) form, and converting each packed x, y cell
@@ -207,7 +211,7 @@ def table(max_row: int) -> LucasnomialTable:
     for n in range(max_row + 1):
         samples = range(n + 1) if n == max_row else (n // 2,)
         for k in samples:
-            if rows[n][k] != via_quotient(n, k):
+            if rows[n][k] != _quotient(n, k):
                 raise RuntimeError(
                     f"triangle entry ({n}, {k}) disagrees with the quotient route"
                 )

@@ -219,16 +219,38 @@ class BivariatePolynomial:
 
     # -- text and JSON forms -------------------------------------------------
 
+    _names = ("s", "t")  # the variables of a term's exponents a and b
+
     def canonical_text(self) -> str:
         """Deterministic rendering, e.g. "s^3 + 2*s*t"; zero renders as "0"."""
-        return _render_terms(self._factored_terms(), latex=False)
+        return "".join(self._pieces("text"))
 
     def latex(self) -> str:
         """LaTeX rendering in canonical order, e.g. "s^{3} + 2 s t"."""
-        return _render_terms(self._factored_terms(), latex=True)
+        return "".join(self._pieces("latex"))
 
-    def _factored_terms(self):
-        return ((c, (("s", a), ("t", b))) for a, b, c in self.terms())
+    def _pieces(self, fmt: str, names: tuple[str, ...] = ()):
+        """self in fmt, "text", "latex" or "json", a term to a piece: joined,
+        they are canonical_text(), latex() or json.dumps(to_json_dict()).
+        Zero powers are dropped, a power of 1 is written bare, and a
+        coefficient of magnitude 1 is left out unless the term is a constant."""
+        if fmt == "json":
+            key, items = self._json_items()
+            yield f'{{"{key}": ['
+            yield from (f", {item}" if i else item for i, item in enumerate(items))
+            yield "]}"
+            return
+        latex, first = fmt == "latex", True
+        for a, b, c in self.terms() or [(0, 0, 0)]:  # zero renders as "0"
+            factors = [] if c in (1, -1) else [str(abs(c))]
+            factors += (var if p == 1 else f"{var}^{{{p}}}" if latex else f"{var}^{p}"
+                        for var, p in zip(names or self._names, (a, b)) if p)
+            sign = ("-" if c < 0 else "") if first else (" - " if c < 0 else " + ")
+            yield sign + ((" " if latex else "*").join(factors) or "1")
+            first = False
+
+    def _json_items(self):
+        return "terms", (f'[{a}, {b}, "{c}"]' for a, b, c in self.terms())
 
     def __str__(self) -> str:
         return self.canonical_text()
@@ -327,27 +349,6 @@ def _digits(value: int, bits: int) -> list[int]:
     ]
 
 
-def _render_terms(terms, latex: bool) -> str:
-    """Join (coefficient, ((var, power), ...)) terms in the given order.
-
-    Zero powers are dropped, a power of 1 is written bare, and a coefficient
-    of magnitude 1 is left out unless the term is a constant.  Text style
-    writes "3*s^2*t", LaTeX style "3 s^{2} t"; no terms renders as "0".
-    """
-    times = " " if latex else "*"
-    out = ""
-    for c, factors in terms:
-        names = [] if c in (1, -1) else [str(abs(c))]
-        for var, power in factors:
-            if power == 1:
-                names.append(var)
-            elif power:
-                names.append(f"{var}^{{{power}}}" if latex else f"{var}^{power}")
-        out += (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
-        out += times.join(names) or "1"
-    return out or "0"
-
-
 _TERM_FACTOR = re.compile(r"(\d+)|([st])(?:\^(\d+))?")
 
 
@@ -398,6 +399,7 @@ class UnivariatePolynomial(BivariatePolynomial):
     # s^p (that is, q^p) sits at index p of grade 0: the grade is the t-power
     _encode = staticmethod(lambda a, b: (b, a))
     _decode = staticmethod(lambda w, i: (i, w))
+    _names = ("q",)  # b is 0 in every term
 
     @classmethod
     def monomial(cls, power: int, c: int = 1) -> UnivariatePolynomial:
@@ -423,16 +425,16 @@ class UnivariatePolynomial(BivariatePolynomial):
 
     def canonical_text(self, var: str = "q") -> str:
         """Deterministic rendering, highest power first, e.g. "q^2 + q + 1"."""
-        return _render_terms(self._factored_terms(var), latex=False)
-
-    def _factored_terms(self, var: str = "q"):
-        return ((c, ((var, p),)) for p, _, c in self.terms())
+        return "".join(self._pieces("text", (var,)))
 
     def __repr__(self) -> str:
         return f"UnivariatePolynomial({self.coeffs!r})"
 
     def to_json_dict(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs]}
+
+    def _json_items(self):
+        return "coeffs", (f'"{c}"' for c in self.coeffs)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> UnivariatePolynomial:

@@ -17,8 +17,11 @@ from lucasnomial import (
     UnivariatePolynomial,
     cli,
     interpretations,
+    lucas,
     lucas_F,
     partitions,
+    specializations,
+    table,
     tilings,
     via_quotient,
 )
@@ -106,6 +109,46 @@ def test_table_json():
     assert run("table", "0", "--format", "json") == (
         0, '{"rows": [[{"terms": [[0, 0, "1"]]}]]}\n', ""
     )
+
+
+def _reference(value, fmt):
+    # the whole rendering in one string, as the public forms give it
+    if isinstance(value, int):
+        return json.dumps({"value": str(value)}) if fmt == "json" else str(value)
+    if fmt == "json":
+        return json.dumps(value.to_json_dict())
+    return value.latex() if fmt == "latex" else value.canonical_text()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+@pytest.mark.parametrize("args, value", [
+    # F(700) has 350 terms, so its output spans two blocks
+    (("lucas", "F", "700"), lambda: lucas_F(700)),
+    (("lucas", "F", "0"), lambda: lucas_F(0)),
+    (("lucas", "L", "9"), lambda: lucas.lucas_L(9)),
+    (("lucas", "factorial", "7"), lambda: lucas.lucas_factorial(7)),
+    (("lucasnomial", "9", "4", "--method", "rec-luc"), lambda: via_quotient(9, 4)),
+    (("lucasnomial", "5", "9"), lambda: BivariatePolynomial.zero()),
+    (("specialize", "8", "3", "--preset", "qbinomial"),
+     lambda: specializations.specialize(8, 3, specializations.QBINOMIAL)),
+    (("specialize", "8", "3", "--preset", "fibonomial"), lambda: 1092),
+    # at s = 0, t = -1 the coefficient is negative
+    (("specialize", "7", "2", "--preset", "lnomial", "--ell", "0"), lambda: -3),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_a_printed_value_is_its_whole_rendering(args, value, fmt):
+    assert run(*args, "--format", fmt) == (0, _reference(value(), fmt) + "\n", "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+@pytest.mark.parametrize("max_row", range(9))
+def test_a_printed_table_is_its_whole_rendering(max_row, fmt):
+    rows = table(max_row).rows
+    if fmt == "json":
+        expected = json.dumps({"rows": [[p.to_json_dict() for p in row] for row in rows]})
+    else:
+        joiner = " & " if fmt == "latex" else " | "
+        expected = "\n".join(joiner.join(_reference(p, fmt) for p in row) for row in rows)
+    assert run("table", str(max_row), "--format", fmt) == (0, expected + "\n", "")
 
 
 def test_tilings_with_weights():
@@ -571,20 +614,26 @@ def test_largest_listings_in_budget_still_list(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("n,first", [("25", b"D D D D D D D D D D D D M\n"), ("10", None)])
-def test_closed_pipe_exits_141_quietly(n, first):
-    # the reader takes one line, or none, and closes the pipe, as `| head`
-    # does.  stdout is block-buffered, as it is on a pipe by default, so the
-    # 89 tilings of length 10 are still in its buffer when the pipe closes.
+@pytest.mark.parametrize("args, head", [
+    ("tilings linear 25", b"D D D D D D D D D D D D M\n"),
+    ("tilings linear 10", b""),
+    # F(6000) is 2.75 MB of text, far more than a pipe holds, so the pipe
+    # closes while its blocks of terms are still being written
+    ("lucas F 6000", b"s^5999 + 5998*s^5997*t"),
+    # the tilings cases keep their earlier ids
+], ids=["25-D D D D D D D D D D D D M\n", "10-None", "lucas F 6000"])
+def test_closed_pipe_exits_141_quietly(args, head):
+    # the reader takes the first bytes, or none, and closes the pipe, as
+    # `| head` does.  stdout is block-buffered, as it is on a pipe by default,
+    # so the 89 tilings of length 10 are still in its buffer when it closes.
     src = Path(cli.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(src)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "lucasnomial", "tilings", "linear", n],
+        [sys.executable, "-m", "lucasnomial", *args.split()],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
-    if first is not None:
-        assert proc.stdout.readline() == first
+    assert proc.stdout.read(len(head)) == head
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (141, b"")

@@ -201,6 +201,23 @@ def test_table_is_the_quotient_triangle_without_the_fib_route(monkeypatch, max_r
             assert triangle.entry(n, k) == via_quotient(n, k), (n, k)
 
 
+@pytest.mark.parametrize("max_row", [0, 1, 12])
+def test_table_spot_checks_leave_the_quotient_memo_as_it_was(max_row):
+    via_quotient.cache_clear()
+    via_quotient(5, 2)
+    table(max_row)
+    assert via_quotient.cache_info().currsize == 1
+
+
+def test_table_spot_checks_still_compare_with_the_quotient_route(monkeypatch):
+    real = coefficients._quotient
+    monkeypatch.setattr(
+        coefficients, "_quotient", lambda n, k: S if (n, k) == (6, 2) else real(n, k)
+    )
+    with pytest.raises(RuntimeError, match=r"entry \(6, 2\) disagrees"):
+        table(6)
+
+
 @pytest.mark.parametrize(
     "route, step, bits",
     [

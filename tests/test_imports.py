@@ -133,3 +133,19 @@ def test_a_subcommand_loads_only_its_own_modules(args, loaded, absent):
     modules = {m.removeprefix("lucasnomial.") for m in fresh(PROBE, *args.split()).split()}
     assert loaded <= modules
     assert not absent & modules
+
+
+@pytest.mark.parametrize("args", [
+    "lucas factorial 5", "lucasnomial 6 3", "table 3", "specialize 6 3 --preset qbinomial",
+    "specialize 6 3 --preset fibonomial",
+])
+def test_a_value_is_printed_as_json_without_the_json_module(args):
+    # the JSON bytes are written term by term, so no document is built
+    probe = (
+        "import contextlib, io, sys\n"
+        "from lucasnomial.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print('json' in sys.modules)\n"
+    )
+    assert fresh(probe, *args.split(), "--format", "json") == "False\n"

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -144,6 +145,34 @@ def test_json_round_trip():
         u = UnivariatePolynomial(coeffs)
         assert UnivariatePolynomial.from_json_dict(u.to_json_dict()) == u
     assert UnivariatePolynomial((0, 0, 7)).to_json_dict() == {"coeffs": ["0", "0", "7"]}
+
+
+U = UnivariatePolynomial
+
+
+@pytest.mark.parametrize("p, text, latex", [
+    (ZERO, "0", "0"),
+    (BivariatePolynomial.const(-3), "-3", "-3"),
+    (P("-3*s^2*t + s - t^5 - 1"), "-3*s^2*t + s - t^5 - 1", "-3 s^{2} t + s - t^{5} - 1"),
+    (P("s^3 + 2*s*t"), "s^3 + 2*s*t", "s^{3} + 2 s t"),
+    (U(()), "0", "0"),
+    (U((-2,)), "-2", "-2"),
+    (U((1, 0, -2, 0, 3)), "3*q^4 - 2*q^2 + 1", "3 q^{4} - 2 q^{2} + 1"),
+    (U((0, -1, 1)), "q^2 - q", "q^{2} - q"),
+], ids=repr)
+def test_the_pieces_are_the_text_latex_and_json_forms(p, text, latex):
+    pieces = {fmt: list(p._pieces(fmt)) for fmt in ("text", "latex", "json")}
+    assert "".join(pieces["text"]) == p.canonical_text() == text
+    assert "".join(pieces["latex"]) == p.latex() == latex
+    assert "".join(pieces["json"]) == json.dumps(p.to_json_dict())
+    # one term to a piece, so a writer holds a block of terms, never the whole
+    assert len(pieces["text"]) == len(pieces["latex"]) == max(1, len(p.terms()))
+
+
+@given(each_class(1))
+def test_the_json_pieces_are_the_json_dumps_bytes(draws):
+    for (p,) in draws:
+        assert "".join(p._pieces("json")) == json.dumps(p.to_json_dict())
 
 
 @given(each_class(2))

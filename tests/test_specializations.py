@@ -13,7 +13,7 @@ from lucasnomial import (
     via_quotient,
     via_recursion_fib,
 )
-from lucasnomial import coefficients, poly
+from lucasnomial import coefficients
 from lucasnomial.specializations import SpecializationPreset
 
 # no q-binomial point, so specialize takes its generic fill in q here
