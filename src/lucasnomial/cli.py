@@ -178,14 +178,14 @@ def _cmd_table(args) -> int:
     from . import coefficients
 
     fmt = args.format
-    sep = {"json": ", ", "latex": " & "}.get(fmt, " | ")
-    rows = coefficients.table(args.n).rows
-    row_pieces = (_joined(sep, (p._pieces(fmt) for p in row)) for row in rows)
     if fmt == "json":
         # the bytes of json.dumps({"rows": [[p.to_json_dict() for p in row] ...]})
-        _write(chain(('{"rows": [[',), _joined("], [", row_pieces), (']]}\n',)))
+        head, sep, row_sep, tail = '{"rows": [[', ", ", "], [", "]]}\n"
     else:
-        _write(chain(_joined("\n", row_pieces), ("\n",)))
+        head, sep, row_sep, tail = "", " & " if fmt == "latex" else " | ", "\n", "\n"
+    rows = coefficients.table(args.n).rows
+    row_pieces = (_joined(sep, (p._pieces(fmt) for p in row)) for row in rows)
+    _write(chain((head,), _joined(row_sep, row_pieces), (tail,)))
     return 0
 
 

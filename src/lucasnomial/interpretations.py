@@ -70,7 +70,6 @@ from .tilings import (
     LINEAR,
     LINEAR_NOLEAD,
     MONO,
-    _count,
     _exponents,
     _gf_values,
     _rows,
@@ -97,22 +96,17 @@ class TilingPair(Record):
 
     def _check(self) -> None:
         row_tilings, col_tilings, flavor = self._values()
-        if flavor not in _PAIRS:
-            raise ValueError(f"unknown flavor {flavor!r}")
-        row_kind, col_kind = _PAIRS[flavor][1:3]
+        row_kind, col_kind = _pair_kinds(flavor)
         # checked and weighed in one pass, each tiling's kind and then its row
         # against its pool's kind; a slot, not a field, so equality, hashing
         # and repr see only the tilings and the flavor
-        a = b = 0
-        c = 1
+        a, b, c = 0, 0, 1
         for tilings, kind in ((row_tilings, row_kind), (col_tilings, col_kind)):
             for t in tilings:
                 if t.kind != row_kind:
                     raise ValueError(f"{flavor} pair holds a {t.kind} tiling")
                 [(ta, tb, tc)] = _checked_exponents([(t.tiles, t.wrap)], kind)
-                a += ta
-                b += tb
-                c *= tc
+                a, b, c = a + ta, b + tb, c * tc
         object.__setattr__(self, "_exponents", (a, b, c))
 
     def weight(self) -> BivariatePolynomial:
@@ -169,8 +163,11 @@ def predicted_pair_count(m: int, n: int, flavor: str) -> int:
     if m == 0 or n == 0:
         # one partition, and every part and complement column has length 0
         return 1
-    rows = [_count(row_kind, x) for x in range(n + 1)]
-    return _path_total(rows, [_count(col_kind, h) for h in range(m + 1)])
+    # each side's counts are one walk of its closed forms at s = t = 1, but
+    # the empty circular tiling counts once, though it weighs 2
+    rows, cols = _gf_values(row_kind, n, 1), _gf_values(col_kind, m, 1)
+    rows[0] = cols[0] = 1
+    return _path_total(rows, cols)
 
 
 def iter_pairs(m: int, n: int, flavor: str):
@@ -262,9 +259,12 @@ def _enumerate_sum(m: int, n: int, flavor: str) -> BivariatePolynomial:
 def _check_budget(m: int, n: int, flavor: str, budget: int) -> None:
     predicted = predicted_pair_count(m, n, flavor)
     if predicted > budget:
+        try:
+            pairs = f"{predicted} tiling pairs, over the budget of {budget}"
+        except ValueError:  # more digits than sys.get_int_max_str_digits allows
+            pairs = f"at least 2^{predicted.bit_length() - 1} tiling pairs, over the budget"
         raise ResourceError(
-            f"enumeration of ({m}, {n}) {flavor} predicts {predicted} tiling "
-            f"pairs, over the budget of {budget}; use gf mode"
+            f"enumeration of ({m}, {n}) {flavor} predicts {pairs}; use gf mode"
         )
 
 

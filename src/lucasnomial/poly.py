@@ -186,10 +186,8 @@ class BivariatePolynomial:
             # a quotient term with a negative exponent is no polynomial either
             ends = self._decode(qw, q0) + self._decode(qw, q0 + size - 1)
             if any(run) or min(ends) < 0:
-                raise IndivisibleError(
-                    f"{self.canonical_text()!r} is not exactly divisible by "
-                    f"{divisor.canonical_text()!r}"
-                )
+                # no operand's text, whose length grows with its coefficients
+                raise IndivisibleError(f"inexact division: grade {w} leaves a remainder")
             quot[qw] = (q0, qrun)
             if lower:
                 part = lower * self._from_runs({qw: (q0, qrun)})
@@ -200,11 +198,7 @@ class BivariatePolynomial:
 
     def eval_int(self, s0: int, t0: int) -> int:
         """Exact integer value at s = s0, t = t0."""
-        # each power occurring is computed once, however sparse the exponents
-        terms = list(self._items())
-        spow = {a: s0**a for a in {a for a, _, _ in terms}}
-        tpow = {b: t0**b for b in {b for _, b, _ in terms}}
-        return sum(c * spow[a] * tpow[b] for a, b, c in terms)
+        return sum(c * s0**a * t0**b for a, b, c in self._items())
 
     def subst_univar(
         self, s_sub: UnivariatePolynomial, t_sub: UnivariatePolynomial

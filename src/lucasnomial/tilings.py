@@ -15,6 +15,7 @@ are built only for the public API, by iter_tilings, and nothing keeps them.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import islice, starmap
 
 from ._record import Record
@@ -31,6 +32,14 @@ CIRCULAR = "circular"
 KINDS = (LINEAR, LINEAR_NOLEAD, CIRCULAR)
 
 
+def _check_strip(kind: str, n: int, kinds=KINDS) -> None:
+    # the one check of a strip's length and then its kind
+    if n < 0:
+        raise DomainError("strip length must be nonnegative")
+    if kind not in kinds:
+        raise DomainError(f"unknown tiling kind {kind!r}")
+
+
 class Tiling(Record):
     """One covering of a strip; wrap marks the circular domino, which covers
     the last and first squares, so tiles then lists only squares 2..n-1."""
@@ -40,8 +49,7 @@ class Tiling(Record):
 
     def _check(self) -> None:
         kind, tiles, wrap = self._values()
-        if kind not in (LINEAR, CIRCULAR):
-            raise ValueError(f"unknown tiling kind {kind!r}")
+        _check_strip(kind, 0, (LINEAR, CIRCULAR))
         if tiles.count(MONO) + tiles.count(DOMINO) != len(tiles):
             raise ValueError(f"unknown tile in {tiles!r}")
         if wrap and kind != CIRCULAR:
@@ -103,21 +111,16 @@ def _tile_seqs(n: int):
 def _rows(kind: str, n: int):
     """Yield (tiles, wrap) for each tiling of enumerate_tilings(kind, n), in
     its order, holding only the current one."""
-    if n < 0:
-        raise DomainError("strip length must be nonnegative")
-    if kind == LINEAR:
-        yield from ((seq, False) for seq in _tile_seqs(n))
-    elif kind == LINEAR_NOLEAD:
+    _check_strip(kind, n)
+    if kind == LINEAR_NOLEAD:
         if n == 0:
             yield (), False
         elif n > 1:
             yield from (((DOMINO,) + rest, False) for rest in _tile_seqs(n - 2))
-    elif kind == CIRCULAR:
-        yield from ((seq, False) for seq in _tile_seqs(n))
-        if n >= 2:
-            yield from ((seq, True) for seq in _tile_seqs(n - 2))
-    else:
-        raise DomainError(f"unknown tiling kind {kind!r}")
+        return
+    yield from ((seq, False) for seq in _tile_seqs(n))
+    if kind == CIRCULAR and n >= 2:
+        yield from ((seq, True) for seq in _tile_seqs(n - 2))
 
 
 def iter_tilings(kind: str, n: int):
@@ -131,21 +134,15 @@ def _listing_lines(kind: str, n: int, weights: bool):
     """Yield the `tilings` listing lines of enumerate_tilings(kind, n): each
     tiling's text, then with weights a tab and its weight's canonical text.
     Lines come from the (tiles, wrap) rows with no Tiling built; a weight is
-    rendered once per distinct exponent triple and then looked up."""
+    rendered once per distinct exponent triple, for this call only."""
     rows = _rows(kind, n)
     if not weights:
         yield from starmap(_tiles_text, rows)
         return
     circular = kind == CIRCULAR
-    rendered: dict[tuple[int, int, int], str] = {}
-    for tiles, wrap in rows:
-        exponents = _exponents(circular, tiles, wrap)
-        weight = rendered.get(exponents)
-        if weight is None:
-            weight = rendered[exponents] = BivariatePolynomial.monomial(
-                *exponents
-            ).canonical_text()
-        yield _tiles_text(tiles, wrap) + "\t" + weight
+    weight = cache(lambda *e: BivariatePolynomial.monomial(*e).canonical_text())
+    for row in rows:
+        yield _tiles_text(*row) + "\t" + weight(*_exponents(circular, *row))
 
 
 _SEEDS = {LINEAR: (1, 1), LINEAR_NOLEAD: (1, 0), CIRCULAR: (2, 1)}
@@ -156,10 +153,7 @@ def _count(kind: str, n: int, cap: int | None = None) -> int:
     gf(kind, n) at s = t = 1, walked from the kind's seed pair, but 1 for the
     empty circular tiling.  Given a cap, the walk stops at the first length
     x >= 1 whose count passes cap, since no longer strip has fewer tilings."""
-    if n < 0:
-        raise DomainError("strip length must be nonnegative")
-    if kind not in _SEEDS:
-        raise DomainError(f"unknown tiling kind {kind!r}")
+    _check_strip(kind, n)
     for x, count in enumerate(islice(_at(1, 1, *_SEEDS[kind]), n + 1)):
         if cap is not None and x and count > cap:
             break
@@ -179,8 +173,7 @@ def enumerate_tilings(kind: str, n: int) -> list[Tiling]:
 
 def gf(kind: str, n: int) -> BivariatePolynomial:
     """Closed form for the total weight over enumerate_tilings(kind, n)."""
-    if n < 0:
-        raise DomainError("strip length must be nonnegative")
+    _check_strip(kind, n)
     if kind == LINEAR:
         return lucas_F(n + 1)
     if kind == LINEAR_NOLEAD:
@@ -189,15 +182,12 @@ def gf(kind: str, n: int) -> BivariatePolynomial:
         if n == 1:
             return ZERO
         return T * lucas_F(n - 1)
-    if kind == CIRCULAR:
-        return TWO if n == 0 else lucas_L(n)
-    raise DomainError(f"unknown tiling kind {kind!r}")
+    return TWO if n == 0 else lucas_L(n)
 
 
 def _gf_values(kind: str, top: int, t: int) -> list[int]:
     """gf(kind, x) at s = 1 and the integer t for x = 0..top, walked from the
     seed pair gf(kind, 0), gf(kind, 1): linear 1, 1; linear_nolead 1, 0;
     circular 2, 1.  No polynomial is built."""
-    if kind not in _SEEDS:
-        raise DomainError(f"unknown tiling kind {kind!r}")
+    _check_strip(kind, top)
     return list(islice(_at(1, t, *_SEEDS[kind]), top + 1))

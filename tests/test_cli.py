@@ -629,14 +629,14 @@ def test_closed_pipe_exits_141_quietly(args, head):
     src = Path(cli.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(src)
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "lucasnomial", *args.split()],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.read(len(head)) == head
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (141, b"")
+    ) as proc:
+        assert proc.stdout.read(len(head)) == head
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_specialize_fibonomial():
@@ -732,3 +732,11 @@ def test_usage_errors_exit_2():
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 2
+
+
+def test_a_non_integer_argument_exits_2_and_names_it():
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(["lucas", "F", "x"])
+    assert exit_.value.code == 2
+    assert err.getvalue().endswith("error: argument n: not an integer: 'x'\n")

@@ -277,3 +277,14 @@ def test_recursions_form_no_lucas_polynomial_or_product(monkeypatch):
         monkeypatch.setattr(owner, name, refuse)
     assert via_recursion_fib.__wrapped__(30, 14) == expected
     assert via_recursion_luc(30, 14) == expected
+
+
+def test_table_refuses_a_negative_row_count():
+    with pytest.raises(DomainError, match="row count must be nonnegative"):
+        table(-1)
+
+
+@pytest.mark.parametrize("route", [via_recursion_fib, via_recursion_luc])
+def test_recursion_routes_are_zero_outside_the_triangle(route):
+    for n, k in ((3, -1), (3, 4), (0, 1)):
+        assert route(n, k) == ZERO

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from math import prod
 
@@ -500,7 +501,7 @@ def test_predicted_count_on_the_edges_counts_no_tilings(monkeypatch):
     def refuse(*args):
         raise AssertionError("an edge of the grid counted tilings")
 
-    monkeypatch.setattr(interpretations, "_count", refuse)
+    monkeypatch.setattr(interpretations, "_gf_values", refuse)
     for flavor in (LINEAR_PAIR, CIRCULAR_PAIR):
         for m, n in ((0, 0), (0, 1000), (1000, 0)):
             assert predicted_pair_count(m, n, flavor) == 1
@@ -549,3 +550,56 @@ def test_verify_grids_are_streamed_not_built():
         finally:
             tracemalloc.stop()
         assert peak < 500_000
+
+
+def test_pricing_walks_each_side_once(monkeypatch):
+    # each side's counts come from one walk of the recurrence, so pricing
+    # m x n draws m + n + 2 values, not one walk per strip length
+    expected = {}
+    for flavor in (LINEAR_PAIR, CIRCULAR_PAIR):
+        row_kind, col_kind = FLAVOR_KINDS[flavor]
+        expected[flavor] = interpretations._path_total(
+            [tilings._count(row_kind, x) for x in range(31)],
+            [tilings._count(col_kind, h) for h in range(5)],
+        )
+    drawn = []
+    at = tilings._at
+
+    def counted(*args):
+        for value in at(*args):
+            drawn.append(value)
+            yield value
+
+    monkeypatch.setattr(tilings, "_at", counted)
+    for flavor in (LINEAR_PAIR, CIRCULAR_PAIR):
+        drawn.clear()
+        assert predicted_pair_count(4, 30, flavor) == expected[flavor]
+        assert 0 < len(drawn) <= 4 + 30 + 2
+    assert expected[LINEAR_PAIR] == specialize(34, 4, FIBONOMIAL)
+    with pytest.raises(DomainError, match="^unknown flavor 'spiral'$"):
+        predicted_pair_count(1, 1, "spiral")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no digit cap before Python 3.10.7"
+)
+@pytest.mark.parametrize("fn, m, n", [
+    (rhs_linear, 10, 2100), (rhs_circular, 20, 1100), (rhs_linear, 1, 25000),
+])
+def test_refusal_of_a_count_past_the_int_text_cap(fn, m, n):
+    # the count has more digits than the interpreter turns into text, so the
+    # message gives the power of two below it
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ResourceError) as refused:
+            fn(m, n, mode="enumerate")
+    finally:
+        sys.set_int_max_str_digits(cap)
+    flavor = LINEAR_PAIR if fn is rhs_linear else CIRCULAR_PAIR
+    predicted = predicted_pair_count(m, n, flavor)
+    assert predicted >= 10**4300
+    assert str(refused.value) == (
+        f"enumeration of ({m}, {n}) {flavor} predicts at least "
+        f"2^{predicted.bit_length() - 1} tiling pairs, over the budget; use gf mode"
+    )

@@ -247,3 +247,8 @@ def test_repeated_lookups_retain_nothing():
     finally:
         tracemalloc.stop()
     assert kept < 2**14, kept
+
+
+def test_lemma1_refuses_a_negative_n():
+    with pytest.raises(DomainError, match="n must be nonnegative"):
+        check_lemma1(1, -1)

@@ -111,3 +111,8 @@ def test_iteration_matches_enumeration():
             assert list(iter_in_rect(m, n)) == enumerate_in_rect(m, n), (m, n)
     with pytest.raises(DomainError):
         next(iter_in_rect(2, -1))
+
+
+def test_partition_refuses_a_negative_column_bound():
+    with pytest.raises(ValueError, match="column bound must be nonnegative"):
+        Partition((), -1)

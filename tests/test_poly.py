@@ -483,3 +483,32 @@ def test_from_xy_refuses_a_digit_string_past_half_the_weight():
     assert _from_xy([1, 0], 2) == P("s^2 + 2*t")
     with pytest.raises(ValueError, match="not half"):
         _from_xy([1, 0, 1], 2)
+
+
+def test_inexact_division_message_does_not_grow_with_the_coefficients():
+    # the message names no operand's text: under the interpreter's cap on
+    # int text a huge coefficient would turn it into a ValueError
+    messages = []
+    for c in (3, 10**5000 + 1):
+        with pytest.raises(IndivisibleError) as refused:
+            BivariatePolynomial.monomial(3, 1, c).exact_div(BivariatePolynomial.const(2))
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1] == "inexact division: grade 5 leaves a remainder"
+
+
+def test_refusals_of_undefined_operations():
+    with pytest.raises(ValueError, match="no leading term"):
+        ZERO.leading()
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        S ** -1
+    with pytest.raises(ValueError, match="repeated factor in term 's\\*s'"):
+        P("s*s")
+    with pytest.raises(ValueError, match="power must be nonnegative"):
+        UnivariatePolynomial.monomial(-1)
+
+
+def test_coefficient_lookup_and_str():
+    u = UnivariatePolynomial([1, 0, -3])
+    assert [u.coeff_at(i) for i in range(4)] == [1, 0, -3, 0]
+    assert str(P("s^2 + t")) == P("s^2 + t").canonical_text() == "s^2 + t"
+    assert str(u) == "-3*q^2 + 1"

@@ -16,7 +16,7 @@ from lucasnomial import (
     iter_tilings,
 )
 from lucasnomial.poly import TWO, ZERO
-from lucasnomial.tilings import KINDS, _count, _gf_values
+from lucasnomial.tilings import KINDS, _count, _gf_values, _rows
 
 
 def P(text: str) -> BivariatePolynomial:
@@ -224,3 +224,22 @@ def test_iteration_holds_one_tiling_at_a_time():
         tracemalloc.stop()
     assert count == _count(CIRCULAR, 20)
     assert peak < 100_000
+
+
+@pytest.mark.parametrize("check", [
+    lambda kind, n: next(_rows(kind, n)),
+    _count,
+    gf,
+    lambda kind, n: _gf_values(kind, n, 1),
+], ids=["rows", "count", "gf", "gf_values"])
+def test_strip_checks_its_length_then_its_kind(check):
+    with pytest.raises(DomainError, match="^strip length must be nonnegative$"):
+        check("spiral", -1)
+    with pytest.raises(DomainError, match="^unknown tiling kind 'spiral'$"):
+        check("spiral", 1)
+
+
+def test_a_tiling_is_linear_or_circular():
+    # linear_nolead names a pool of linear tilings, not a strip
+    with pytest.raises(DomainError, match="^unknown tiling kind 'linear_nolead'$"):
+        Tiling(LINEAR_NOLEAD, (DOMINO,))
